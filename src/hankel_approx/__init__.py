@@ -7,128 +7,27 @@ polynomial recurrence. Built-in moment families target the
 Euler-Mascheroni constant, the Euler-Gompertz constant, and zeta(k).
 """
 
-from .driver import (
-    ApproximantRecord,
-    RunConfig,
-    ValidationReport,
-    compare_reference,
-    cross_validate,
-    emit,
-    records_from_json,
-    run_convergence,
-)
-from .errors import (
-    ArrowShapeViolation,
-    EngineMismatch,
-    IndexOutOfRange,
-    NonPositiveQ,
-    ParseError,
-    PositivityViolation,
-    ZeroDenominator,
-    ZeroDiagonal,
-)
-from .exactnum import (
-    DecimalString,
-    Rational,
-    binomial,
-    harmonic,
-    make_rational,
-    parse_decimal,
-    parse_rational,
-    rat_to_decimal,
-)
-from .hankel import (
-    DetResult,
-    SquareMatrix,
-    arrow_det,
-    build_P_matrix,
-    build_Q_matrix,
-    det_fraction_free,
-    det_rational,
-    hankel_P,
-    hankel_Q,
-)
-from .kernels import BACKEND as KERNEL_BACKEND
+from .exactnum import rat_to_decimal
+from .hankel import hankel_P, hankel_Q
 from .moments import (
-    MomentSequence,
-    ReferenceConstant,
-    builtin_sequence,
-    custom_sequence,
-    factorial_moment,
     factorial_sequence,
-    gamma_moment,
     gamma_sequence,
-    gompertz_moment,
     gompertz_sequence,
     load_moments,
-    zeta_moment,
     zeta_sequence,
 )
-from .orthopoly import (
-    OrthoState,
-    approximant_ortho,
-    inner_product,
-    norm_product,
-    ortho_init,
-    ortho_states,
-    ortho_step,
-)
+from .orthopoly import approximant_ortho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximantRecord",
-    "ArrowShapeViolation",
-    "DecimalString",
-    "DetResult",
-    "EngineMismatch",
-    "IndexOutOfRange",
-    "KERNEL_BACKEND",
-    "MomentSequence",
-    "NonPositiveQ",
-    "OrthoState",
-    "ParseError",
-    "PositivityViolation",
-    "Rational",
-    "ReferenceConstant",
-    "RunConfig",
-    "SquareMatrix",
-    "ValidationReport",
-    "ZeroDenominator",
-    "ZeroDiagonal",
     "approximant_ortho",
-    "arrow_det",
-    "binomial",
-    "build_P_matrix",
-    "build_Q_matrix",
-    "builtin_sequence",
-    "compare_reference",
-    "cross_validate",
-    "custom_sequence",
-    "det_fraction_free",
-    "det_rational",
-    "emit",
-    "factorial_moment",
     "factorial_sequence",
-    "gamma_moment",
     "gamma_sequence",
-    "gompertz_moment",
     "gompertz_sequence",
     "hankel_P",
     "hankel_Q",
-    "harmonic",
-    "inner_product",
     "load_moments",
-    "make_rational",
-    "norm_product",
-    "ortho_init",
-    "ortho_states",
-    "ortho_step",
-    "parse_decimal",
-    "parse_rational",
     "rat_to_decimal",
-    "records_from_json",
-    "run_convergence",
-    "zeta_moment",
     "zeta_sequence",
 ]

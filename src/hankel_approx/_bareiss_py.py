@@ -1,4 +1,4 @@
-"""Pure-Python fraction-free elimination kernel.
+"""Fraction-free elimination kernel.
 
 One-step Bareiss: after eliminating column k, every entry is an exact k+1
 minor of the input, so the division by the previous pivot is always exact
@@ -11,16 +11,14 @@ if none exists the determinant is 0.
 from __future__ import annotations
 
 
-def bareiss_det(rows: list[list[int]]) -> tuple[int, int]:
+def bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix given as lists of rows.
 
-    Mutates ``rows`` in place; callers pass a scratch copy. Returns
-    (determinant, number of row swaps performed).
+    Mutates ``rows`` in place; callers pass a scratch copy.
     """
     n = len(rows)
-    swaps = 0
     if n == 0:
-        return 1, swaps
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -29,10 +27,9 @@ def bareiss_det(rows: list[list[int]]) -> tuple[int, int]:
                 if rows[r][k] != 0:
                     rows[k], rows[r] = rows[r], rows[k]
                     sign = -sign
-                    swaps += 1
                     break
             else:
-                return 0, swaps
+                return 0
         rk = rows[k]
         pivot = rk[k]
         for i in range(k + 1, n):
@@ -42,4 +39,4 @@ def bareiss_det(rows: list[list[int]]) -> tuple[int, int]:
                 ri[j] = (pivot * ri[j] - head * rk[j]) // prev
             ri[k] = 0
         prev = pivot
-    return sign * rows[n - 1][n - 1], swaps
+    return sign * rows[n - 1][n - 1]

@@ -6,6 +6,7 @@ violation, 4 I/O or parse error.
 
 from __future__ import annotations
 
+import json
 import sys
 
 import click
@@ -14,23 +15,23 @@ from .driver import (
     EXIT_IO,
     EXIT_POSITIVITY,
     EXIT_VALIDATION,
+    FORMATS,
+    METHODS,
     RunConfig,
     cross_validate,
     emit,
     run_convergence,
-    sequence_for,
 )
 from .errors import (
     EngineMismatch,
     IndexOutOfRange,
     NonPositiveQ,
+    OrthogonalityLost,
     ParseError,
     PositivityViolation,
 )
-from .exactnum import format_rational
-from .moments import builtin_sequence, load_moments
-
-FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")
+from .exactnum import DEFAULT_DIGITS, format_rational
+from .moments import FAMILIES, family_sequence
 
 # CLI-only guard: (i+1)^k growth makes huge k useless interactively.
 MAX_CLI_K = 64
@@ -65,11 +66,12 @@ def main():
 @family_options
 @click.option("--n-max", type=click.IntRange(min=0), required=True,
               help="Highest approximant index to compute.")
-@click.option("--method", type=click.Choice(("det", "ortho", "both")), default=None,
+@click.option("--method", type=click.Choice(METHODS), default=None,
               help="Engine; defaults to both for built-ins, ortho for custom.")
-@click.option("--digits", type=click.IntRange(min=1), default=10, show_default=True,
+@click.option("--digits", type=click.IntRange(min=1), default=DEFAULT_DIGITS,
+              show_default=True,
               help="Fractional digits in the decimal column.")
-@click.option("--format", "fmt", type=click.Choice(("table", "csv", "json")),
+@click.option("--format", "fmt", type=click.Choice(FORMATS),
               default="table", show_default=True)
 @click.option("--exact", is_flag=True,
               help="Print full rationals in table format, however large.")
@@ -81,12 +83,18 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     """Compute approximants P_n/Q_n for n = 0 .. N-MAX."""
     _check_family_args(family, k, moments_file)
     config = RunConfig(family=family, k=k, n_max=n_max, method=method,
-                       digits=digits, format=fmt, exact=exact,
-                       moments_file=moments_file, out=out)
+                       moments_file=moments_file)
     try:
         records = run_convergence(config)
-    except (ParseError, IndexOutOfRange, OSError) as exc:
+    except (ParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_IO)
+    except IndexOutOfRange as exc:
+        if exc.records:
+            click.echo(emit(exc.records, fmt, digits, exact))
+        top = (exc.available - 2) // 2  # n needs a_1 .. a_{2n+2}
+        supported = f"n <= {top}" if top >= 0 else "no n"
+        click.echo(f"error: {exc}; the moment file supports {supported}", err=True)
         sys.exit(EXIT_IO)
     except (PositivityViolation, NonPositiveQ) as exc:
         if exc.records:
@@ -119,21 +127,16 @@ def moments(family, k, count, fmt, moments_file):
     """
     _check_family_args(family, k, moments_file)
     try:
-        if family == "custom":
-            seq = load_moments(moments_file)
-        else:
-            seq = builtin_sequence(family, k)
+        seq = family_sequence(family, k, moments_file)
         values = seq.moments(count)
     except (ParseError, IndexOutOfRange, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
     if fmt == "json":
-        import json as _json
-
         doc = {"name": seq.name, "a": [format_rational(v) for v in values]}
         if seq.reference is not None:
             doc["reference"] = seq.reference.decimal
-        click.echo(_json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, indent=2))
     else:
         lines = ["n,a"] + [
             f"{n},{format_rational(v)}" for n, v in enumerate(values, start=1)
@@ -155,6 +158,9 @@ def validate(family, k, n_max, moments_file):
     except (ParseError, IndexOutOfRange, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
+    except OrthogonalityLost as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         click.echo(f"{status} {check.name}: {check.detail}")

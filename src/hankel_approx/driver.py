@@ -4,8 +4,9 @@ The driver walks n = 0 .. n_max for a moment sequence, producing one
 ApproximantRecord per index. With ``method="both"`` the incremental
 recurrence runs alongside per-n determinant evaluations and the two are
 compared at every index; a disagreement aborts the run. Abortive errors
-(EngineMismatch, PositivityViolation, NonPositiveQ) carry the records
-produced before the failure so callers can still report partial progress.
+(EngineMismatch, PositivityViolation, NonPositiveQ, IndexOutOfRange) carry
+the records produced before the failure so callers can still report partial
+progress.
 """
 
 from __future__ import annotations
@@ -14,19 +15,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EngineMismatch, NonPositiveQ, PositivityViolation
-from .exactnum import (
-    DecimalString,
-    format_rational,
-    parse_rational,
-    rat_to_decimal,
-)
+from .errors import EngineMismatch, IndexOutOfRange, NonPositiveQ, PositivityViolation
+from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_P, hankel_Q
-from .moments import MomentSequence, ReferenceConstant, builtin_sequence, load_moments
+from .moments import family_sequence
 from .orthopoly import norm_product, ortho_states
 
 # Process exit codes used by the CLI.
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_POSITIVITY = 3
 EXIT_IO = 4
@@ -49,11 +44,7 @@ class RunConfig:
     n_max: int
     k: int | None = None
     method: str | None = None
-    digits: int = 10
-    format: str = "table"
-    exact: bool = False
     moments_file: str | None = None
-    out: str | None = None
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -64,8 +55,6 @@ class RunConfig:
             raise ValueError("custom family requires a moments file")
         if self.method is not None and self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format: {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -76,32 +65,20 @@ class ApproximantRecord:
     P: Fraction
     Q: Fraction
     value: Fraction
-    decimal: DecimalString
     gap: Fraction | None
     method: str
 
 
-def sequence_for(config: RunConfig) -> MomentSequence:
-    if config.family == "custom":
-        return load_moments(config.moments_file)
-    return builtin_sequence(config.family, config.k)
-
-
-def resolve_method(config: RunConfig, seq: MomentSequence) -> str:
+def resolve_method(config: RunConfig) -> str:
     if config.method is not None:
         return config.method
-    return "ortho" if seq.kind == "custom" else "both"
-
-
-def compare_reference(record: ApproximantRecord, ref: ReferenceConstant) -> Fraction:
-    """Reference constant (read as an exact rational) minus the approximant."""
-    return ref.as_fraction() - record.value
+    return "ortho" if config.family == "custom" else "both"
 
 
 def run_convergence(config: RunConfig) -> list:
     """Records for n = 0 .. n_max, in order."""
-    seq = sequence_for(config)
-    method = resolve_method(config, seq)
+    seq = family_sequence(config.family, config.k, config.moments_file)
+    method = resolve_method(config)
     ref_value = seq.reference.as_fraction() if seq.reference else None
 
     records = []
@@ -124,11 +101,10 @@ def run_convergence(config: RunConfig) -> list:
                 P=P,
                 Q=Q,
                 value=value,
-                decimal=rat_to_decimal(value, config.digits),
                 gap=ref_value - value if ref_value is not None else None,
                 method=method,
             ))
-    except (PositivityViolation, NonPositiveQ, EngineMismatch) as exc:
+    except (PositivityViolation, NonPositiveQ, EngineMismatch, IndexOutOfRange) as exc:
         exc.records = records
         raise
     return records
@@ -144,17 +120,17 @@ def _table_cell(value: Fraction, exact: bool) -> str:
     return text
 
 
-def emit(records, format: str = "table", digits: int | None = None,
+def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
          exact: bool = False, out: str | None = None) -> str:
     """Render records as table/csv/json text; optionally also write a file.
 
-    ``digits`` re-renders the decimal column; by default each record keeps
-    the rendering it was built with.
+    ``digits`` sets the fractional digits of the decimal column (table and
+    json); ``exact`` keeps long ratios in the table instead of eliding them.
     """
     if format == "table":
         lines = []
         for r in records:
-            dec = rat_to_decimal(r.value, digits).text if digits else r.decimal.text
+            dec = rat_to_decimal(r.value, digits).text
             lines.append(f"{r.n} | {_table_cell(r.value, exact)} | {dec}")
         text = "\n".join(lines)
     elif format == "csv":
@@ -169,13 +145,12 @@ def emit(records, format: str = "table", digits: int | None = None,
     elif format == "json":
         rows = []
         for r in records:
-            dec = rat_to_decimal(r.value, digits).text if digits else r.decimal.text
             rows.append({
                 "n": r.n,
                 "P": format_rational(r.P),
                 "Q": format_rational(r.Q),
                 "value": format_rational(r.value),
-                "decimal": dec,
+                "decimal": rat_to_decimal(r.value, digits).text,
                 "gap": format_rational(r.gap) if r.gap is not None else None,
                 "method": r.method,
             })
@@ -187,23 +162,6 @@ def emit(records, format: str = "table", digits: int | None = None,
         with open(out, "w") as fh:
             fh.write(text)
     return text
-
-
-def records_from_json(text: str) -> list:
-    """Rebuild ApproximantRecords from emit(..., format="json") output."""
-    records = []
-    for row in json.loads(text):
-        decimal = row["decimal"]
-        records.append(ApproximantRecord(
-            n=row["n"],
-            P=parse_rational(row["P"]),
-            Q=parse_rational(row["Q"]),
-            value=parse_rational(row["value"]),
-            decimal=DecimalString(decimal, len(decimal.split(".")[1])),
-            gap=parse_rational(row["gap"]) if row.get("gap") else None,
-            method=row["method"],
-        ))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +193,11 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     Checks: per-n agreement of the two engines, Q_n equal to the product of
     squared norms, positivity of Q_n, monotonicity of the approximants, and
     the strict bound below the reference constant when one is known. A
-    positive-definiteness failure is reported, not raised.
+    positive-definiteness failure is reported, not raised; a recurrence
+    polynomial that is not orthogonal to an earlier one raises
+    OrthogonalityLost.
     """
-    if family == "custom":
-        seq = load_moments(moments_file)
-    else:
-        seq = builtin_sequence(family, k)
+    seq = family_sequence(family, k, moments_file)
     report = ValidationReport(family=seq.name, n_max=n_max)
 
     det_P, det_Q, ortho_A, norm_prods = [], [], [], []

@@ -19,22 +19,18 @@ class ParseError(ValueError):
 
 
 class IndexOutOfRange(IndexError):
-    """A fixed moment sequence was asked for an index it does not hold."""
+    """A fixed moment sequence was asked for an index it does not hold.
+
+    Drivers may attach the ``records`` they produced before running out.
+    """
 
     def __init__(self, requested, available):
         self.requested = requested
         self.available = available
+        self.records = None
         super().__init__(
             f"moment index {requested} out of range: only {available} moments available"
         )
-
-
-class ArrowShapeViolation(ValueError):
-    """Matrix is not arrow-shaped: nonzero entry off the diagonal, first row and column."""
-
-
-class ZeroDiagonal(ValueError):
-    """Arrow-matrix formula needs nonzero diagonal entries below the corner."""
 
 
 class NonPositiveQ(ArithmeticError):
@@ -81,4 +77,16 @@ class EngineMismatch(RuntimeError):
         super().__init__(
             f"engines disagree at n={n}: determinant path {det_value}, "
             f"recurrence path {ortho_value}"
+        )
+
+
+class OrthogonalityLost(RuntimeError):
+    """A validated recurrence step produced q_degree not orthogonal to q_other."""
+
+    def __init__(self, degree, other, residual):
+        self.degree = degree
+        self.other = other
+        self.residual = residual
+        super().__init__(
+            f"orthogonality lost: <q_{degree}, q_{other}> = {residual}"
         )

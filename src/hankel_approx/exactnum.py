@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, combinatorial helpers, and decimal rendering.
+"""Exact rational text: parsing, formatting, and decimal rendering.
 
 Every value in the computational core is an arbitrary-precision rational
 (``fractions.Fraction``): always in lowest terms, denominator positive,
@@ -16,7 +16,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import ParseError, ZeroDenominator
 
@@ -26,19 +25,10 @@ if hasattr(sys, "set_int_max_str_digits"):
     if 0 < sys.get_int_max_str_digits() < 2_000_000:
         sys.set_int_max_str_digits(2_000_000)
 
-Rational = Fraction
-
 DEFAULT_DIGITS = 10
 
 _RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z")
 _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Build num/den in canonical lowest terms; the numerator carries the sign."""
-    if den == 0:
-        raise ZeroDenominator(f"zero denominator: {num}/0")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -83,38 +73,21 @@ def parse_decimal(text: str) -> Fraction:
     return -value if sign else value
 
 
-def rat_to_decimal(r: Fraction, digits: int = DEFAULT_DIGITS,
-                   mode: str = "round_half_away") -> DecimalString:
+def rat_to_decimal(r: Fraction, digits: int = DEFAULT_DIGITS) -> DecimalString:
     """Render a rational with exactly `digits` fractional digits, by exact long division.
 
-    ``round_half_away`` looks at the (digits+1)-th fractional digit and rounds
-    the magnitude up when the remainder is at least half a unit in the last
-    place; ``truncate`` discards everything past the last kept digit. Either
-    way the printed value differs from ``r`` by less than 10**-digits.
+    Rounds half away from zero: the magnitude goes up when the remainder is
+    at least half a unit in the last place, so the printed value differs
+    from ``r`` by at most half of 10**-digits.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if mode not in ("round_half_away", "truncate"):
-        raise ValueError(f"unknown rounding mode: {mode!r}")
     r = Fraction(r)
     sign = "-" if r < 0 else ""
     mag = -r if r < 0 else r
     units, rem = divmod(mag.numerator * 10 ** digits, mag.denominator)
-    if mode == "round_half_away" and 2 * rem >= mag.denominator:
+    if 2 * rem >= mag.denominator:
         units += 1
     s = str(units).rjust(digits + 1, "0")
     return DecimalString(f"{sign}{s[:-digits]}.{s[-digits:]}", digits)
 
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return comb(n, k)
-
-
-def harmonic(n: int) -> Fraction:
-    """Exact n-th harmonic number 1 + 1/2 + ... + 1/n, n >= 1."""
-    if n < 1:
-        raise ValueError(f"harmonic requires n >= 1, got {n}")
-    return sum((Fraction(1, i) for i in range(2, n + 1)), Fraction(1))

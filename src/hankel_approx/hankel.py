@@ -7,112 +7,50 @@ The two determinant families are
 
 evaluated exactly: each row is scaled by the lcm of its entry denominators,
 the integer matrix goes through fraction-free Bareiss elimination, and the
-scale factor is divided back out. The arrow-matrix closed form is kept as
-an independent evaluation route for testing.
+scale factor is divided back out. Matrices are plain lists of rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ArrowShapeViolation, NonPositiveQ, ZeroDiagonal
-from .kernels import bareiss_det
+from ._bareiss_py import bareiss_det
+from .errors import NonPositiveQ
 from .moments import MomentSequence
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
-    """Dense square matrix of rationals, row-major."""
-
-    order: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.order * self.order:
-            raise ValueError(
-                f"need {self.order * self.order} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows) -> "SquareMatrix":
-        rows = [list(r) for r in rows]
-        order = len(rows)
-        for r in rows:
-            if len(r) != order:
-                raise ValueError("matrix is not square")
-        return cls(order, tuple(Fraction(x) for row in rows for x in row))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.order + j]
-
-    def rows(self) -> list[list[Fraction]]:
-        n = self.order
-        return [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-
-    def transpose(self) -> "SquareMatrix":
-        n = self.order
-        return SquareMatrix(
-            n, tuple(self.entries[j * n + i] for i in range(n) for j in range(n))
-        )
-
-    @property
-    def is_integer(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries)
-
-
-@dataclass(frozen=True)
-class DetResult:
-    value: Fraction
-    pivot_swaps: int
-
-
-def build_P_matrix(seq: MomentSequence, n: int) -> SquareMatrix:
-    """(n+2)x(n+2) matrix with entry(i,j) = a_{i+j}, where a_0 = 0."""
+def build_P_matrix(seq: MomentSequence, n: int) -> list[list[Fraction]]:
+    """(n+2)x(n+2) rows with entry [i][j] = a_{i+j}, where a_0 = 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a = [Fraction(0)] + seq.moments(2 * n + 2)
-    size = n + 2
-    return SquareMatrix(size, tuple(a[i + j] for i in range(size) for j in range(size)))
+    return [a[i:i + n + 2] for i in range(n + 2)]
 
 
-def build_Q_matrix(seq: MomentSequence, n: int) -> SquareMatrix:
-    """(n+1)x(n+1) matrix with entry(i,j) = a_{i+j+2}."""
+def build_Q_matrix(seq: MomentSequence, n: int) -> list[list[Fraction]]:
+    """(n+1)x(n+1) rows with entry [i][j] = a_{i+j+2}."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a = [Fraction(0)] + seq.moments(2 * n + 2)
-    size = n + 1
-    return SquareMatrix(
-        size, tuple(a[i + j + 2] for i in range(size) for j in range(size))
-    )
+    return [a[i + 2:i + n + 3] for i in range(n + 1)]
 
 
-def det_fraction_free(M: SquareMatrix) -> DetResult:
-    """Exact determinant of an all-integer matrix via Bareiss elimination."""
-    if not M.is_integer:
-        raise ValueError("det_fraction_free needs integer entries; use det_rational")
-    rows = [[int(e) for e in row] for row in M.rows()]
-    value, swaps = bareiss_det(rows)
-    return DetResult(Fraction(value), swaps)
-
-
-def det_rational(M: SquareMatrix) -> Fraction:
-    """Exact determinant of a rational matrix.
+def det_rational(rows) -> Fraction:
+    """Exact determinant of a square rational matrix given as rows.
 
     Scales row i by the lcm L_i of its entry denominators, runs the integer
     kernel, and divides the product of the L_i back out.
     """
     scale = 1
-    rows = []
-    for row in M.rows():
+    scaled = []
+    for row in rows:
         L = 1
         for e in row:
             L = lcm(L, e.denominator)
         scale *= L
-        rows.append([int(e * L) for e in row])
-    value, _ = bareiss_det(rows)
-    return Fraction(value, scale)
+        scaled.append([int(e * L) for e in row])
+    return Fraction(bareiss_det(scaled), scale)
 
 
 def hankel_P(seq: MomentSequence, n: int) -> Fraction:
@@ -128,27 +66,3 @@ def hankel_Q(seq: MomentSequence, n: int) -> Fraction:
     if value <= 0:
         raise NonPositiveQ(n, value)
     return value
-
-
-def arrow_det(M: SquareMatrix) -> Fraction:
-    """Closed-form determinant for arrow matrices.
-
-    Requires entry(i,j) = 0 whenever i != j and i,j > 0, and a nonzero
-    diagonal below the corner; then
-
-        det = (prod_{i>=1} a_{i,i}) * (a_{0,0} - sum_{i>=1} a_{i,0} a_{0,i} / a_{i,i})
-    """
-    n = M.order - 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and M.entry(i, j) != 0:
-                raise ArrowShapeViolation(f"nonzero entry at ({i}, {j})")
-    product = Fraction(1)
-    total = M.entry(0, 0)
-    for i in range(1, n + 1):
-        d = M.entry(i, i)
-        if d == 0:
-            raise ZeroDiagonal(f"zero diagonal entry at ({i}, {i})")
-        product *= d
-        total -= M.entry(i, 0) * M.entry(0, i) / d
-    return product * total

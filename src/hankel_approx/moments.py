@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import IndexOutOfRange, ParseError, ZeroDenominator
 from .exactnum import parse_decimal, parse_rational
 
-BUILTIN_FAMILIES = ("gamma", "gompertz", "zeta", "factorial")
+FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")
 
 # Ten-digit targets for gamma/gompertz, nine-digit for the zeta constants.
 REFERENCE_DECIMALS = {
@@ -159,21 +159,6 @@ def custom_sequence(name: str, values, reference: str | None = None) -> MomentSe
     return MomentSequence(name, "custom", values=values, reference=reference)
 
 
-def builtin_sequence(family: str, k: int | None = None) -> MomentSequence:
-    """Dispatch a built-in family by name."""
-    if family == "gamma":
-        return gamma_sequence()
-    if family == "gompertz":
-        return gompertz_sequence()
-    if family == "zeta":
-        if k is None:
-            raise ValueError("zeta family requires k")
-        return zeta_sequence(k)
-    if family == "factorial":
-        return factorial_sequence()
-    raise ValueError(f"unknown family: {family!r}")
-
-
 def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:
     # Best-effort line/column of a quoted token in the source text.
     at = raw.find(f'"{token}"')
@@ -229,3 +214,21 @@ def load_moments(path) -> MomentSequence:
             line, column = _position_of(raw, reference)
             raise ParseError(f"reference: {exc}", line=line, column=column) from exc
     return custom_sequence(name, values, reference)
+
+
+def family_sequence(family: str, k: int | None = None,
+                    moments_file=None) -> MomentSequence:
+    """The moment sequence of a family by name; ``custom`` loads ``moments_file``."""
+    if family == "custom":
+        return load_moments(moments_file)
+    if family == "gamma":
+        return gamma_sequence()
+    if family == "gompertz":
+        return gompertz_sequence()
+    if family == "zeta":
+        if k is None:
+            raise ValueError("zeta family requires k")
+        return zeta_sequence(k)
+    if family == "factorial":
+        return factorial_sequence()
+    raise ValueError(f"unknown family: {family!r}")

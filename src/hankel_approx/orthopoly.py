@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator
 
-from .errors import PositivityViolation
+from .errors import OrthogonalityLost, PositivityViolation
 from .moments import MomentSequence
 
 # Polynomial coefficients are tuples of Fractions indexed by degree,
@@ -105,7 +105,8 @@ def ortho_step(state: OrthoState, seq: MomentSequence, *,
     """Advance from q_m to q_{m+1} and fold s^2/t into the partial sum.
 
     With ``validate`` the new polynomial is checked orthogonal against all
-    previous ones, guarding the recurrence against transcription slips.
+    previous ones, guarding the recurrence against transcription slips; a
+    nonzero residual raises OrthogonalityLost.
     Raises PositivityViolation (carrying the current state) when the new
     squared norm fails to be positive.
     """
@@ -131,9 +132,7 @@ def ortho_step(state: OrthoState, seq: MomentSequence, *,
         for j, q_j in enumerate(state.polys):
             residual = inner_product(q_next, q_j, seq)
             if residual != 0:
-                raise AssertionError(
-                    f"orthogonality lost: <q_{m + 1}, q_{j}> = {residual}"
-                )
+                raise OrthogonalityLost(m + 1, j, residual)
     s_next = _first_moment(q_next, seq)
 
     return OrthoState(

@@ -1,40 +1,27 @@
+"""Direct tests of the fraction-free Bareiss kernel, ``_bareiss_py.bareiss_det``."""
+
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
-import pytest
-
-from hankel_approx import kernels
-from hankel_approx._bareiss_py import bareiss_det as pure_det
+from hankel_approx._bareiss_py import bareiss_det
 
 from .oracles import cofactor_det
 
-HAS_COMPILED = "compiled" in kernels.available_backends()
-
-
-def test_selected_backend_is_consistent():
-    assert kernels.BACKEND in kernels.available_backends()
-    assert kernels.bareiss_det is kernels.available_backends()[kernels.BACKEND]
-
 
 def test_pure_kernel_basics():
-    assert pure_det([]) == (1, 0)
-    assert pure_det([[7]]) == (7, 0)
-    assert pure_det([[1, 2], [3, 4]]) == (-2, 0)
-    assert pure_det([[0, 1], [1, 0]]) == (-1, 1)
-    assert pure_det([[1, 2], [2, 4]])[0] == 0
-    assert pure_det([[0, 0], [0, 0]])[0] == 0
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[7]]) == 7
+    assert bareiss_det([[1, 2], [3, 4]]) == -2
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert bareiss_det([[0, 0], [0, 0]]) == 0
 
 
 def test_pure_kernel_zero_leading_column():
     # Every leading entry zero forces a pivot search at each step.
     rows = [[0, 0, 1], [0, 2, 3], [4, 5, 6]]
-    value, swaps = pure_det(rows)
-    assert value == cofactor_det([[0, 0, 1], [0, 2, 3], [4, 5, 6]])
-    assert swaps > 0
+    assert bareiss_det([r[:] for r in rows]) == cofactor_det(rows) == -8
 
 
 def test_pure_kernel_matches_cofactor_random():
@@ -42,36 +29,4 @@ def test_pure_kernel_matches_cofactor_random():
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert pure_det([r[:] for r in rows])[0] == cofactor_det(rows)
-
-
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_matches_pure():
-    compiled = kernels.available_backends()["compiled"]
-    rng = random.Random(13579)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.3:
-            for i in range(n):  # zero the leading column to force pivoting
-                rows[i][0] = 0
-        assert compiled([r[:] for r in rows]) == pure_det([r[:] for r in rows])
-
-
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_handles_big_integers():
-    compiled = kernels.available_backends()["compiled"]
-    big = 10**120
-    rows = [[big, 1], [1, big]]
-    assert compiled([r[:] for r in rows]) == pure_det([r[:] for r in rows])
-    assert compiled([[big, 1], [1, big]])[0] == big * big - 1
-
-
-def test_env_override_forces_pure_backend():
-    code = "from hankel_approx.kernels import BACKEND; print(BACKEND)"
-    env = dict(os.environ, HANKEL_APPROX_PURE="1")
-    env_out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    assert env_out.stdout.strip() == "pure"
+        assert bareiss_det([r[:] for r in rows]) == cofactor_det(rows)

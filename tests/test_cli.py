@@ -5,10 +5,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import hankel_approx.cli as cli
 from hankel_approx.cli import main
-from hankel_approx.driver import records_from_json
+from hankel_approx.errors import OrthogonalityLost
 
 from .golden_values import GOMPERTZ_ROWS
+from .oracles import records_from_json
 
 
 @pytest.fixture
@@ -121,14 +123,25 @@ def test_approx_malformed_moments_file(runner, tmp_path):
 
 
 def test_approx_short_custom_sequence(runner, write_moments_file):
-    # n_max = 2 needs six moments; providing four is an input error.
+    # n_max = 2 needs six moments; four cover n = 0 and 1, then it is an input error.
     path = write_moments_file("short", ["1", "2", "5", "16"])
     res = runner.invoke(
         main,
         ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
     )
     assert res.exit_code == 4
+    assert res.stdout.splitlines() == ["0 | 1/2 | 0.5000000000", "1 | 4/7 | 0.5714285714"]
     assert "out of range" in res.stderr
+    assert "supports n <= 1" in res.stderr
+
+    one = write_moments_file("one", ["1"], filename="one.json")
+    res = runner.invoke(
+        main,
+        ["approx", "--family", "custom", "--moments-file", str(one), "--n-max", "0"],
+    )
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert "supports no n" in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -216,6 +229,16 @@ def test_validate_reports_violation(runner, write_moments_file):
     )
     assert res.exit_code == 3
     assert "FAIL positive-definite" in res.output
+
+
+def test_validate_reports_lost_orthogonality(runner, monkeypatch):
+    def lose(*args, **kwargs):
+        raise OrthogonalityLost(3, 1, 5)
+
+    monkeypatch.setattr(cli, "cross_validate", lose)
+    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+    assert res.exit_code == 2
+    assert res.stderr == "error: orthogonality lost: <q_3, q_1> = 5\n"
 
 
 def test_help_screens(runner):

@@ -10,18 +10,22 @@ from hankel_approx.driver import (
     ELIDE_THRESHOLD,
     ApproximantRecord,
     RunConfig,
-    compare_reference,
     cross_validate,
     emit,
-    records_from_json,
     resolve_method,
     run_convergence,
-    sequence_for,
 )
-from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
+from hankel_approx.errors import (
+    EngineMismatch,
+    IndexOutOfRange,
+    NonPositiveQ,
+    PositivityViolation,
+)
+from hankel_approx.exactnum import rat_to_decimal
 from hankel_approx.moments import ReferenceConstant
 
 from .golden_values import GOMPERTZ_ROWS
+from .oracles import records_from_json
 
 
 def test_runconfig_validation():
@@ -36,18 +40,14 @@ def test_runconfig_validation():
         RunConfig(family="custom", n_max=3)
     with pytest.raises(ValueError):
         RunConfig(family="gamma", n_max=3, method="magic")
-    with pytest.raises(ValueError):
-        RunConfig(family="gamma", n_max=3, format="xml")
 
 
 def test_resolve_method(write_moments_file):
-    builtin = RunConfig(family="gompertz", n_max=2)
-    assert resolve_method(builtin, sequence_for(builtin)) == "both"
-    explicit = RunConfig(family="gompertz", n_max=2, method="det")
-    assert resolve_method(explicit, sequence_for(explicit)) == "det"
+    assert resolve_method(RunConfig(family="gompertz", n_max=2)) == "both"
+    assert resolve_method(RunConfig(family="gompertz", n_max=2, method="det")) == "det"
     path = write_moments_file("mine", ["1", "2", "5", "16"])
     custom = RunConfig(family="custom", n_max=1, moments_file=str(path))
-    assert resolve_method(custom, sequence_for(custom)) == "ortho"
+    assert resolve_method(custom) == "ortho"
 
 
 def test_run_convergence_matches_known_rows():
@@ -57,7 +57,7 @@ def test_run_convergence_matches_known_rows():
         frac, decimal = GOMPERTZ_ROWS[r.n]
         assert r.value == Fraction(frac)
         assert r.P / r.Q == r.value
-        assert r.decimal.text == decimal
+        assert rat_to_decimal(r.value).text == decimal
         assert r.method == "both"
         assert r.gap is not None and r.gap > 0
 
@@ -99,6 +99,16 @@ def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
     assert [r.n for r in excinfo.value.records] == [0]
 
 
+@pytest.mark.parametrize("method", ["ortho", "det"])
+def test_run_convergence_short_file_carries_records(write_moments_file, method):
+    path = write_moments_file("short", ["1", "2", "5", "16"])
+    config = RunConfig(family="custom", n_max=3, method=method, moments_file=str(path))
+    with pytest.raises(IndexOutOfRange) as excinfo:
+        run_convergence(config)
+    assert excinfo.value.available == 4
+    assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
+
+
 def test_run_convergence_detects_engine_mismatch(monkeypatch):
     monkeypatch.setattr(driver, "hankel_P", lambda seq, n: Fraction(0))
     with pytest.raises(EngineMismatch) as excinfo:
@@ -111,17 +121,18 @@ def test_compare_reference():
     records = run_convergence(RunConfig(family="gompertz", n_max=2))
     ref = ReferenceConstant("gompertz", "0.5963473623")
     for r in records:
-        assert compare_reference(r, ref) == r.gap
+        assert r.gap == ref.as_fraction() - r.value
 
 
 def test_emit_table_elides_large_rationals():
     records = run_convergence(RunConfig(family="gompertz", n_max=21, method="ortho"))
     big = records[-1]
+    decimal = rat_to_decimal(big.value).text
     assert len(str(big.value)) > ELIDE_THRESHOLD
     table = emit(records, "table")
-    assert f"21 | - | {big.decimal.text}" in table.splitlines()
+    assert f"21 | - | {decimal}" in table.splitlines()
     exact = emit(records, "table", exact=True)
-    assert f"21 | {big.value} | {big.decimal.text}" in exact.splitlines()
+    assert f"21 | {big.value} | {decimal}" in exact.splitlines()
 
 
 def test_emit_table_digit_override():
@@ -146,13 +157,10 @@ def test_emit_json_roundtrip():
     rows = json.loads(text)
     assert [row["n"] for row in rows] == [0, 1, 2, 3]
     assert rows[1]["value"] == "135/89"
-    rebuilt = records_from_json(text)
-    for orig, back in zip(records, rebuilt):
-        assert isinstance(back, ApproximantRecord)
-        assert (back.n, back.P, back.Q, back.value) == (orig.n, orig.P, orig.Q, orig.value)
-        assert back.decimal.text == orig.decimal.text
-        assert back.gap == orig.gap
-        assert back.method == orig.method
+    assert [row["decimal"] for row in rows] == [rat_to_decimal(r.value).text for r in records]
+    assert json.loads(emit(records, "json", digits=3))[1]["decimal"] == "1.517"
+    assert all(isinstance(back, ApproximantRecord) for back in records_from_json(text))
+    assert records_from_json(text) == records
 
 
 def test_emit_writes_out_file(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 
 from hankel_approx.errors import IndexOutOfRange, ParseError
 from hankel_approx.moments import (
-    BUILTIN_FAMILIES,
+    FAMILIES,
     MomentSequence,
     ReferenceConstant,
-    builtin_sequence,
     custom_sequence,
+    family_sequence,
     factorial_moment,
     factorial_sequence,
     gamma_moment,
@@ -108,16 +108,19 @@ def test_fixed_sequence_bounds():
         seq.moment(0)
 
 
-def test_builtin_sequence_dispatch():
-    assert set(BUILTIN_FAMILIES) == {"gamma", "gompertz", "zeta", "factorial"}
-    assert builtin_sequence("gamma").name == "gamma"
-    assert builtin_sequence("zeta", 3).name == "zeta(3)"
-    assert builtin_sequence("zeta", 3).k == 3
-    assert builtin_sequence("factorial").reference is None
+def test_builtin_sequence_dispatch(write_moments_file):
+    assert set(FAMILIES) == {"gamma", "gompertz", "zeta", "factorial", "custom"}
+    assert family_sequence("gamma").name == "gamma"
+    assert family_sequence("zeta", 3).name == "zeta(3)"
+    assert family_sequence("zeta", 3).k == 3
+    assert family_sequence("factorial").reference is None
+    path = write_moments_file("mine", ["1", "7/2"])
+    custom = family_sequence("custom", moments_file=path)
+    assert (custom.name, custom.kind, custom.moments(2)) == ("mine", "custom", [1, Fraction(7, 2)])
     with pytest.raises(ValueError):
-        builtin_sequence("zeta")
+        family_sequence("zeta")
     with pytest.raises(ValueError):
-        builtin_sequence("fibonacci")
+        family_sequence("fibonacci")
     with pytest.raises(ValueError):
         zeta_sequence(1)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankel_approx.errors import PositivityViolation
+from hankel_approx.errors import OrthogonalityLost, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q
 from hankel_approx.moments import custom_sequence, gompertz_sequence
 from hankel_approx.orthopoly import (
@@ -90,6 +90,17 @@ def test_orthogonality_small(gompertz_seq):
         for j in range(i):
             assert inner_product(last.polys[i], last.polys[j], gompertz_seq) == 0
         assert inner_product(last.polys[i], last.polys[i], gompertz_seq) == last.t[i]
+
+
+def test_validated_step_rejects_lost_orthogonality(gompertz_seq):
+    # q_1 = x is not orthogonal to q_0 = 1 here: <x, 1> = a_3 = 5.
+    state = OrthoState(m=1, polys=[(Fraction(1),), (Fraction(0), Fraction(1))],
+                       t=[Fraction(2), Fraction(16)], s=[Fraction(1), Fraction(2)])
+    ortho_step(state, gompertz_seq)  # unvalidated, the step goes through
+    with pytest.raises(OrthogonalityLost) as excinfo:
+        ortho_step(state, gompertz_seq, validate=True)
+    assert (excinfo.value.degree, excinfo.value.other) == (2, 0)
+    assert excinfo.value.residual != 0
 
 
 def test_positivity_violation_carries_state():
