@@ -101,7 +101,7 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
             click.echo(emit(exc.records, fmt, digits, exact))
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_POSITIVITY)
-    except EngineMismatch as exc:
+    except (EngineMismatch, OrthogonalityLost) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     try:

@@ -4,9 +4,9 @@ The driver walks n = 0 .. n_max for a moment sequence, producing one
 ApproximantRecord per index. With ``method="both"`` the incremental
 recurrence runs alongside per-n determinant evaluations and the two are
 compared at every index; a disagreement aborts the run. Abortive errors
-(EngineMismatch, PositivityViolation, NonPositiveQ, IndexOutOfRange) carry
-the records produced before the failure so callers can still report partial
-progress.
+(EngineMismatch, OrthogonalityLost, PositivityViolation, NonPositiveQ,
+IndexOutOfRange) carry the records produced before the failure so callers
+can still report partial progress.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EngineMismatch, IndexOutOfRange, NonPositiveQ, PositivityViolation
+from .errors import (
+    EngineMismatch,
+    IndexOutOfRange,
+    NonPositiveQ,
+    OrthogonalityLost,
+    PositivityViolation,
+)
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_P, hankel_Q
 from .moments import family_sequence
@@ -104,7 +110,8 @@ def run_convergence(config: RunConfig) -> list:
                 gap=ref_value - value if ref_value is not None else None,
                 method=method,
             ))
-    except (PositivityViolation, NonPositiveQ, EngineMismatch, IndexOutOfRange) as exc:
+    except (PositivityViolation, NonPositiveQ, EngineMismatch, OrthogonalityLost,
+            IndexOutOfRange) as exc:
         exc.records = records
         raise
     return records
@@ -195,14 +202,14 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     the strict bound below the reference constant when one is known. A
     positive-definiteness failure is reported, not raised; a recurrence
     polynomial that is not orthogonal to an earlier one raises
-    OrthogonalityLost.
+    OrthogonalityLost (the recurrence checks this at every step).
     """
     seq = family_sequence(family, k, moments_file)
     report = ValidationReport(family=seq.name, n_max=n_max)
 
     det_P, det_Q, ortho_A, norm_prods = [], [], [], []
     try:
-        for state in ortho_states(seq, n_max, validate=True):
+        for state in ortho_states(seq, n_max):
             n = state.m
             det_P.append(hankel_P(seq, n))
             det_Q.append(hankel_Q(seq, n))

@@ -50,16 +50,14 @@ class NonPositiveQ(ArithmeticError):
 class PositivityViolation(ArithmeticError):
     """The moment bilinear form stopped being positive definite.
 
-    ``index`` is the first failing polynomial degree. ``state`` carries the
-    orthogonal-recurrence state accumulated before the failure, and drivers
-    may attach the ``records`` they produced so far, so callers can report
-    how far the sequence stayed positive definite.
+    ``index`` is the first failing polynomial degree. Drivers may attach
+    the ``records`` they produced so far, so callers can report how far the
+    sequence stayed positive definite.
     """
 
-    def __init__(self, index, value, state=None):
+    def __init__(self, index, value):
         self.index = index
         self.value = value
-        self.state = state
         self.records = None
         super().__init__(
             f"positive definiteness fails at degree {index}: squared norm {value} <= 0"
@@ -81,12 +79,17 @@ class EngineMismatch(RuntimeError):
 
 
 class OrthogonalityLost(RuntimeError):
-    """A validated recurrence step produced q_degree not orthogonal to q_other."""
+    """The recurrence produced q_degree not orthogonal to q_other.
+
+    ``residual`` is <q_degree, q_other>. Drivers may attach the ``records``
+    they produced before the failure.
+    """
 
     def __init__(self, degree, other, residual):
         self.degree = degree
         self.other = other
         self.residual = residual
+        self.records = None
         super().__init__(
             f"orthogonality lost: <q_{degree}, q_{other}> = {residual}"
         )

@@ -1,35 +1,57 @@
-"""Approximants via monic orthogonal polynomials built from moments.
+"""Approximants via monic orthogonal polynomials, from a table of mixed moments.
 
-For the bilinear form (f, g) -> L(x^2 f g), whose Gram entries are the
-shifted moments a_{i+j+2}, the monic orthogonal family q_0, q_1, ... comes
-out of the classical three-term recurrence
+For the bilinear form <f, g> = L(x^2 f g), whose Gram entries are the
+shifted moments a_{i+j+2}, the monic orthogonal family q_0, q_1, ... obeys
+the classical three-term recurrence
 
-    q_{m+1} = (x - alpha_m) q_m - beta_m q_{m-1}
+    q_{k+1} = (x - alpha_k) q_k - beta_k q_{k-1},      q_0 = 1, q_{-1} = 0,
 
-with alpha_m = <x q_m, q_m>/t_m and beta_m = t_m/t_{m-1}, where
-t_m = <q_m, q_m>. The running sum
+and the running sum
 
-    A_m = sum_{i=0..m} s_i^2 / t_i,      s_i = sum_j (q_i)_j a_{j+1}
+    A_m = sum_{i=0..m} s_i^2 / t_i,      t_i = <q_i, q_i>,  s_i = L(x q_i),
 
-equals the determinant ratio P_m/Q_m at every step, and the t_i multiply
-to Q_m. This gives an incremental O(m^2)-per-step alternative to the
-determinant path and an independent cross-check of it.
+equals the determinant ratio P_m/Q_m at every step, while the t_i
+multiply to Q_m. This is an independent cross-check of the determinant
+path that needs O(m) new table entries per step.
 
-Index-shift warning: the s_i consume moments a_{j+1} while the bilinear
-form consumes a_{i+j+2}. Both shifts come from the same embedding, every
-polynomial is implicitly multiplied by x once, so <x q_i, x q_j> = L(x^2
-q_i q_j) and L(x q_i) = sum_j (q_i)_j a_{j+1}. Keep the two shifts
-distinct; conflating them is the classic off-by-one here.
+The polynomials themselves are never formed. Chebyshev's algorithm
+(Gautschi 1982, "On generating orthogonal polynomials"; Gautschi 2004,
+section 2.1) works on the mixed moments
+
+    sigma_{k,l} = L(x^2 q_k x^l),      l >= -1,
+
+which start from sigma_{0,l} = a_{l+2} and obey the recurrence in k
+
+    sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l}.
+
+Everything the construction needs is read off the table:
+
+    t_k = sigma_{k,k},    s_k = sigma_{k,-1},    beta_k = t_k / t_{k-1},
+    alpha_k = sigma_{k,k+1} / t_k - sigma_{k-1,k} / t_{k-1}.
+
+Index-shift warning: the form consumes a_{i+j+2} while s_k consumes
+a_{j+1}. Both shifts come from the same embedding, every polynomial is
+implicitly multiplied by x once, and the column l = -1 of the table is the
+single shift: sigma_{k,-1} = L(x q_k). Keep the two shifts distinct;
+conflating them is the classic off-by-one here.
+
+State n extends the table by the anti-diagonal k + l = 2n - 1 (the moment
+a_{2n+1}), which completes alpha_{n-1}, then by row n up to l = n - 1,
+then by the anti-diagonal k + l = 2n (the moment a_{2n+2}), which ends at
+t_n. Orthogonality makes sigma_{n,l} = 0 for 0 <= l < n. Those entries lie
+on the way to s_n, so each one is checked as it is computed; since q_l is
+monic, the first nonzero one equals <q_n, q_l> and raises
+OrthogonalityLost.
 
 Positive definiteness of the form is exactly the hypothesis that makes the
-construction work. It is not assumed: the first nonpositive t_m raises
-PositivityViolation carrying the state built so far, which is an expected
-outcome for user-supplied sequences.
+construction work. It is not assumed: the first nonpositive t_n raises
+PositivityViolation, an expected outcome for user-supplied sequences; the
+states yielded before it stay valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterator
@@ -37,129 +59,80 @@ from typing import Iterator
 from .errors import OrthogonalityLost, PositivityViolation
 from .moments import MomentSequence
 
-# Polynomial coefficients are tuples of Fractions indexed by degree,
-# leading coefficient last; every q_m produced here is monic.
-PolyCoeffs = tuple
 
-
-def inner_product(f, g, seq: MomentSequence) -> Fraction:
-    """<f, g> = sum_{i,j} f_i g_j a_{i+j+2}, exactly."""
-    conv = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                if gj:
-                    conv[i + j] += fi * gj
-    return sum(
-        (c * seq.moment(d + 2) for d, c in enumerate(conv) if c), Fraction(0)
-    )
-
-
-def _first_moment(f, seq: MomentSequence) -> Fraction:
-    # L(x f) = sum_j f_j a_{j+1}; the single-shift side of the embedding.
-    return sum((c * seq.moment(j + 1) for j, c in enumerate(f) if c), Fraction(0))
-
-
-@dataclass
+@dataclass(frozen=True)
 class OrthoState:
-    """State of the recurrence after computing q_0 .. q_m.
+    """The recurrence after q_0 .. q_m.
 
-    ``polys`` keeps every monic polynomial generated so far (the last two
-    drive the recurrence, the rest serve orthogonality validation), ``t``
-    the squared norms, ``s`` the linear moments, and ``partial_sum`` the
-    approximant A_m. A state is a plain value; steps return new states.
+    ``t`` holds the squared norms t_0 .. t_m, ``recurrence`` the pairs
+    (alpha_k, beta_k) for k < m, and ``partial_sum`` the approximant A_m.
+    beta_0 is t_0 by convention; it multiplies q_{-1} = 0, so it never
+    enters.
     """
 
     m: int
-    polys: list = field(default_factory=list)
-    t: list = field(default_factory=list)
-    s: list = field(default_factory=list)
-    partial_sum: Fraction = Fraction(0)
-
-    @property
-    def q_curr(self) -> PolyCoeffs:
-        return self.polys[-1]
-
-    @property
-    def q_prev(self) -> PolyCoeffs:
-        return self.polys[-2] if len(self.polys) >= 2 else ()
+    t: tuple
+    recurrence: tuple
+    partial_sum: Fraction
 
 
-def ortho_init(seq: MomentSequence) -> OrthoState:
-    """Start the recurrence: q_0 = 1, t_0 = a_2, s_0 = a_1, A_0 = a_1^2/a_2."""
-    a1 = seq.moment(1)
-    a2 = seq.moment(2)
-    if a2 <= 0:
-        raise PositivityViolation(0, a2)
-    return OrthoState(
-        m=0,
-        polys=[(Fraction(1),)],
-        t=[a2],
-        s=[a1],
-        partial_sum=a1 * a1 / a2,
-    )
+def _coefficients(sigma: list, t: list, k: int) -> tuple:
+    """(alpha_k, beta_k) read off rows k and k-1 of the table."""
+    if k == 0:
+        return sigma[0][2] / t[0], t[0]
+    return sigma[k][k + 2] / t[k] - sigma[k - 1][k + 1] / t[k - 1], t[k] / t[k - 1]
 
 
-def ortho_step(state: OrthoState, seq: MomentSequence, *,
-               validate: bool = False) -> OrthoState:
-    """Advance from q_m to q_{m+1} and fold s^2/t into the partial sum.
+def _entry(sigma: list, recurrence: list, k: int, l: int) -> Fraction:
+    # sigma_{k,l} for k >= 1; sigma[k][l + 1] holds sigma_{k,l}.
+    alpha, beta = recurrence[k - 1]
+    value = sigma[k - 1][l + 2] - alpha * sigma[k - 1][l + 1]
+    if k >= 2:
+        value -= beta * sigma[k - 2][l + 1]
+    return value
 
-    With ``validate`` the new polynomial is checked orthogonal against all
-    previous ones, guarding the recurrence against transcription slips; a
-    nonzero residual raises OrthogonalityLost.
-    Raises PositivityViolation (carrying the current state) when the new
-    squared norm fails to be positive.
+
+def _extend_diagonal(sigma: list, recurrence: list, moment: Fraction, top: int) -> None:
+    """Append the next anti-diagonal to rows 0 .. top, starting from its moment."""
+    sigma[0].append(moment)
+    for k in range(1, top + 1):
+        sigma[k].append(_entry(sigma, recurrence, k, len(sigma[k]) - 1))
+
+
+def ortho_states(seq: MomentSequence, n_max: int) -> Iterator[OrthoState]:
+    """Yield the states for n = 0 .. n_max in order.
+
+    State n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
+    a short sequence fails at the first index it lacks.
     """
-    m = state.m
-    q_curr = state.q_curr
-    t_m = state.t[m]
-
-    xq = (Fraction(0),) + tuple(q_curr)
-    alpha = inner_product(xq, q_curr, seq) / t_m
-    coeffs = list(xq)
-    for i, c in enumerate(q_curr):
-        coeffs[i] -= alpha * c
-    if m >= 1:
-        beta = t_m / state.t[m - 1]
-        for i, c in enumerate(state.q_prev):
-            coeffs[i] -= beta * c
-    q_next = tuple(coeffs)
-
-    t_next = inner_product(q_next, q_next, seq)
-    if t_next <= 0:
-        raise PositivityViolation(m + 1, t_next, state=state)
-    if validate:
-        for j, q_j in enumerate(state.polys):
-            residual = inner_product(q_next, q_j, seq)
-            if residual != 0:
-                raise OrthogonalityLost(m + 1, j, residual)
-    s_next = _first_moment(q_next, seq)
-
-    return OrthoState(
-        m=m + 1,
-        polys=state.polys + [q_next],
-        t=state.t + [t_next],
-        s=state.s + [s_next],
-        partial_sum=state.partial_sum + s_next * s_next / t_next,
-    )
+    sigma = [[]]  # sigma[k][l + 1] = sigma_{k,l}
+    recurrence, t = [], []
+    partial_sum = Fraction(0)
+    for n in range(n_max + 1):
+        _extend_diagonal(sigma, recurrence, seq.moment(2 * n + 1), n - 1)
+        if n:
+            recurrence.append(_coefficients(sigma, t, n - 1))
+            row = []
+            sigma.append(row)
+            for l in range(-1, n):
+                row.append(_entry(sigma, recurrence, n, l))
+                if l >= 0 and row[-1] != 0:
+                    raise OrthogonalityLost(n, l, row[-1])
+        _extend_diagonal(sigma, recurrence, seq.moment(2 * n + 2), n)
+        t_n = sigma[n][n + 1]
+        if t_n <= 0:
+            raise PositivityViolation(n, t_n)
+        t.append(t_n)
+        s_n = sigma[n][0]
+        partial_sum += s_n * s_n / t_n
+        yield OrthoState(n, tuple(t), tuple(recurrence), partial_sum)
 
 
-def ortho_states(seq: MomentSequence, n_max: int, *,
-                 validate: bool = False) -> Iterator[OrthoState]:
-    """Yield the states for n = 0 .. n_max in order."""
-    state = ortho_init(seq)
-    yield state
-    for _ in range(n_max):
-        state = ortho_step(state, seq, validate=validate)
-        yield state
-
-
-def approximant_ortho(seq: MomentSequence, n: int, *,
-                      validate: bool = False) -> Fraction:
+def approximant_ortho(seq: MomentSequence, n: int) -> Fraction:
     """A_n after n steps; equals the determinant ratio P_n/Q_n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    for state in ortho_states(seq, n, validate=validate):
+    for state in ortho_states(seq, n):
         pass
     return state.partial_sum
 

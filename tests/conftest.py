@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hankel_approx import orthopoly
 from hankel_approx.moments import (
     factorial_sequence,
     gamma_sequence,
@@ -50,3 +51,19 @@ def write_moments_file(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def skewed_alpha_1(monkeypatch):
+    """Shift the recurrence's alpha_1 by one.
+
+    The skewed q_2 is the true one minus q_1, so it stays orthogonal to
+    q_0 but <q_2, q_1> = -t_1, and the recurrence must stop at degree 2.
+    """
+    exact = orthopoly._coefficients
+
+    def skewed(sigma, t, k):
+        alpha, beta = exact(sigma, t, k)
+        return (alpha + 1 if k == 1 else alpha), beta
+
+    monkeypatch.setattr(orthopoly, "_coefficients", skewed)

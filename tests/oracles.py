@@ -4,7 +4,9 @@ The oracles deliberately avoid the package's own elimination and
 summation code: the determinant oracles are plain cofactor expansion and
 the arrow-matrix closed form, the moment oracles are numerical quadrature,
 and the factorial family's approximants are checked against harmonic
-numbers, so agreement is evidence rather than tautology.
+numbers, so agreement is evidence rather than tautology. The recurrence's
+polynomials are rebuilt from its coefficients and paired by the defining
+double sum, so its orthogonality is checked outside the moment table.
 ``records_from_json`` reads ``emit``'s JSON output back for round-trip
 tests.
 """
@@ -79,6 +81,41 @@ def harmonic(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"harmonic requires n >= 1, got {n}")
     return sum((Fraction(1, i) for i in range(2, n + 1)), Fraction(1))
+
+
+def inner_product(f, g, seq) -> Fraction:
+    """<f, g> = sum_{i,j} f_i g_j a_{i+j+2}, exactly.
+
+    Polynomials are coefficient sequences indexed by degree.
+    """
+    conv = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                if gj:
+                    conv[i + j] += fi * gj
+    return sum(
+        (c * seq.moment(d + 2) for d, c in enumerate(conv) if c), Fraction(0)
+    )
+
+
+def polynomials(state) -> list[tuple]:
+    """q_0 .. q_m of an OrthoState, rebuilt from its (alpha_k, beta_k).
+
+    q_{k+1} = (x - alpha_k) q_k - beta_k q_{k-1}, with q_0 = 1 and q_{-1} = 0.
+    """
+    polys = [(Fraction(1),)]
+    prev = ()
+    for alpha, beta in state.recurrence:
+        curr = polys[-1]
+        coeffs = [Fraction(0), *curr]
+        for i, c in enumerate(curr):
+            coeffs[i] -= alpha * c
+        for i, c in enumerate(prev):
+            coeffs[i] -= beta * c
+        prev = curr
+        polys.append(tuple(coeffs))
+    return polys
 
 
 def records_from_json(text: str) -> list:

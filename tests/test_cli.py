@@ -5,9 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-import hankel_approx.cli as cli
 from hankel_approx.cli import main
-from hankel_approx.errors import OrthogonalityLost
 
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
@@ -231,14 +229,18 @@ def test_validate_reports_violation(runner, write_moments_file):
     assert "FAIL positive-definite" in res.output
 
 
-def test_validate_reports_lost_orthogonality(runner, monkeypatch):
-    def lose(*args, **kwargs):
-        raise OrthogonalityLost(3, 1, 5)
-
-    monkeypatch.setattr(cli, "cross_validate", lose)
+def test_validate_reports_lost_orthogonality(runner, skewed_alpha_1):
     res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
     assert res.exit_code == 2
-    assert res.stderr == "error: orthogonality lost: <q_3, q_1> = 5\n"
+    assert res.stdout == ""
+    assert res.stderr == "error: orthogonality lost: <q_2, q_1> = -7/2\n"
+
+
+def test_approx_reports_lost_orthogonality(runner, skewed_alpha_1):
+    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "4"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: orthogonality lost: <q_2, q_1> = -7/2\n"
 
 
 def test_help_screens(runner):

@@ -19,6 +19,7 @@ from hankel_approx.errors import (
     EngineMismatch,
     IndexOutOfRange,
     NonPositiveQ,
+    OrthogonalityLost,
     PositivityViolation,
 )
 from hankel_approx.exactnum import rat_to_decimal
@@ -115,6 +116,13 @@ def test_run_convergence_detects_engine_mismatch(monkeypatch):
         run_convergence(RunConfig(family="gompertz", n_max=2))
     assert excinfo.value.n == 0
     assert excinfo.value.records == []
+
+
+def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
+    with pytest.raises(OrthogonalityLost) as excinfo:
+        run_convergence(RunConfig(family="gompertz", n_max=4, method="ortho"))
+    assert excinfo.value.degree == 2
+    assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
 
 def test_compare_reference():

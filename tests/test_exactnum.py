@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hankel_approx
 from hankel_approx.errors import ParseError, ZeroDenominator
 from hankel_approx.exactnum import (
     DEFAULT_DIGITS,
@@ -130,3 +135,21 @@ def test_huge_integers_render():
     text = format_rational(Fraction(10**6000 + 1, 3))
     assert text.endswith("/3")
     assert parse_rational(text) == Fraction(10**6000 + 1, 3)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str conversion limit")
+@pytest.mark.parametrize("start,after", [(5000, 2_000_000), (0, 0), (4_000_000, 4_000_000)])
+def test_import_raises_int_str_limit(start, after):
+    # Importing the package raises a lower limit to 2,000,000 digits and
+    # leaves an unlimited (0) or larger one alone. Run in a fresh
+    # interpreter, since the limit is process-global.
+    src = str(Path(hankel_approx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; before = sys.get_int_max_str_digits(); import hankel_approx; "
+            "print(before, sys.get_int_max_str_digits())")
+    proc = subprocess.run(
+        [sys.executable, "-X", f"int_max_str_digits={start}", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == [str(start), str(after)]

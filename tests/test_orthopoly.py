@@ -1,22 +1,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from hankel_approx.errors import OrthogonalityLost, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q
-from hankel_approx.moments import custom_sequence, gompertz_sequence
-from hankel_approx.orthopoly import (
-    OrthoState,
-    approximant_ortho,
-    inner_product,
-    norm_product,
-    ortho_init,
-    ortho_states,
-    ortho_step,
-)
+from hankel_approx.moments import custom_sequence
+from hankel_approx.orthopoly import approximant_ortho, norm_product, ortho_states
+
+from .oracles import inner_product, polynomials
 
 
 def explicit_form(f, g, seq):
@@ -48,70 +43,73 @@ def test_inner_product_is_bilinear(zeta2_seq):
 
 
 def test_ortho_init(gompertz_seq):
-    state = ortho_init(gompertz_seq)
+    state = next(ortho_states(gompertz_seq, 0))
     assert state.m == 0
-    assert state.polys == [(Fraction(1),)]
-    assert state.t == [2]  # a_2
-    assert state.s == [1]  # a_1
+    assert state.t == (2,)  # a_2
+    assert state.recurrence == ()
     assert state.partial_sum == Fraction(1, 2)  # a_1^2 / a_2
 
 
 def test_ortho_init_rejects_nonpositive_a2():
     seq = custom_sequence("bad", [Fraction(1), Fraction(-1)])
     with pytest.raises(PositivityViolation) as excinfo:
-        ortho_init(seq)
+        next(ortho_states(seq, 3))
     assert excinfo.value.index == 0
     assert excinfo.value.value == -1
 
 
 def test_ortho_step_returns_new_state(gompertz_seq):
-    s0 = ortho_init(gompertz_seq)
-    s1 = ortho_step(s0, gompertz_seq)
+    s0, s1 = ortho_states(gompertz_seq, 1)
     assert s0.m == 0 and len(s0.t) == 1  # original untouched
-    assert s1.m == 1 and len(s1.t) == 2
-    assert s1.q_prev == s0.q_curr
-    q1 = s1.q_curr
-    assert len(q1) == 2 and q1[-1] == 1  # monic, degree 1
+    assert s1.m == 1 and s1.t == (2, Fraction(7, 2))
+    assert s1.recurrence == ((Fraction(5, 2), 2),)  # alpha_0 = a_3/a_2, beta_0 = t_0
+    assert polynomials(s1)[1] == (Fraction(-5, 2), 1)  # monic, degree 1
     assert s1.partial_sum == Fraction(4, 7)
+    with pytest.raises(FrozenInstanceError):
+        s1.m = 2
 
 
 def test_ortho_states_yields_every_index(zeta3_seq):
     states = list(ortho_states(zeta3_seq, 6))
     assert [st.m for st in states] == list(range(7))
     for st in states:
-        assert len(st.polys) == st.m + 1
-        assert all(q[-1] == 1 for q in st.polys)
+        assert len(st.t) == st.m + 1
+        assert len(st.recurrence) == st.m
+        polys = polynomials(st)
+        assert [len(q) for q in polys] == list(range(1, st.m + 2))
+        assert all(q[-1] == 1 for q in polys)
 
 
 def test_orthogonality_small(gompertz_seq):
-    states = list(ortho_states(gompertz_seq, 8, validate=True))
-    last = states[-1]
-    for i in range(len(last.polys)):
+    last = list(ortho_states(gompertz_seq, 8))[-1]
+    polys = polynomials(last)
+    for i in range(len(polys)):
         for j in range(i):
-            assert inner_product(last.polys[i], last.polys[j], gompertz_seq) == 0
-        assert inner_product(last.polys[i], last.polys[i], gompertz_seq) == last.t[i]
+            assert inner_product(polys[i], polys[j], gompertz_seq) == 0
+        assert inner_product(polys[i], polys[i], gompertz_seq) == last.t[i]
 
 
-def test_validated_step_rejects_lost_orthogonality(gompertz_seq):
-    # q_1 = x is not orthogonal to q_0 = 1 here: <x, 1> = a_3 = 5.
-    state = OrthoState(m=1, polys=[(Fraction(1),), (Fraction(0), Fraction(1))],
-                       t=[Fraction(2), Fraction(16)], s=[Fraction(1), Fraction(2)])
-    ortho_step(state, gompertz_seq)  # unvalidated, the step goes through
+def test_validated_step_rejects_lost_orthogonality(gompertz_seq, skewed_alpha_1):
+    states = []
     with pytest.raises(OrthogonalityLost) as excinfo:
-        ortho_step(state, gompertz_seq, validate=True)
-    assert (excinfo.value.degree, excinfo.value.other) == (2, 0)
-    assert excinfo.value.residual != 0
+        for state in ortho_states(gompertz_seq, 4):
+            states.append(state)
+    assert [st.m for st in states] == [0, 1]
+    # The skewed q_2 is still orthogonal to q_0; the scan reports q_1.
+    assert (excinfo.value.degree, excinfo.value.other) == (2, 1)
+    assert excinfo.value.residual == -states[1].t[1]
 
 
-def test_positivity_violation_carries_state():
+def test_positivity_violation_stops_after_yielded_states():
     seq = custom_sequence("flat", [Fraction(1)] * 6)
-    state = ortho_init(seq)
+    states = []
     with pytest.raises(PositivityViolation) as excinfo:
-        ortho_step(state, seq)
+        for state in ortho_states(seq, 3):
+            states.append(state)
     exc = excinfo.value
     assert exc.index == 1
     assert exc.value == 0
-    assert exc.state is state
+    assert [(st.m, st.partial_sum) for st in states] == [(0, 1)]
 
 
 def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
@@ -135,10 +133,3 @@ def test_approximant_ortho_known_values(zeta2_seq):
 def test_partial_sums_nondecreasing(gompertz_seq):
     values = [st.partial_sum for st in ortho_states(gompertz_seq, 10)]
     assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-def test_state_defaults():
-    st = OrthoState(m=0)
-    assert st.polys == [] and st.t == [] and st.s == []
-    assert st.partial_sum == 0
-    assert st.q_prev == ()
