@@ -1,9 +1,11 @@
 """Convergence runs, engine cross-validation, and output rendering.
 
 The driver walks n = 0 .. n_max for a moment sequence, producing one
-ApproximantRecord per index. With ``method="both"`` the incremental
-recurrence runs alongside per-n determinant evaluations and the two are
-compared at every index; a disagreement aborts the run. Abortive errors
+ApproximantRecord per index. Each route is one pass over the moments: the
+determinant sweep (``hankel_sweep``, a condensation table) and the
+recurrence (``ortho_states``, a mixed-moment table). With
+``method="both"`` the two run side by side and are compared at every
+index; a disagreement aborts the run. Abortive errors
 (EngineMismatch, OrthogonalityLost, PositivityViolation, NonPositiveQ,
 IndexOutOfRange) carry the records produced before the failure so callers
 can still report partial progress.
@@ -23,7 +25,7 @@ from .errors import (
     PositivityViolation,
 )
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
-from .hankel import hankel_P, hankel_Q
+from .hankel import hankel_sweep
 from .moments import family_sequence
 from .orthopoly import norm_product, ortho_states
 
@@ -43,7 +45,10 @@ class RunConfig:
     """Everything a convergence run needs.
 
     ``method=None`` resolves to "both" for built-in families and "ortho"
-    for custom sequences (the determinant path costs more per index).
+    for custom sequences: a custom sequence can put a zero divisor in the
+    determinant sweep's table, and from there on the sweep falls back to
+    per-index elimination, O(N^4) instead of O(N^2); the recurrence has no
+    such case.
     """
 
     family: str
@@ -89,13 +94,13 @@ def run_convergence(config: RunConfig) -> list:
 
     records = []
     states = ortho_states(seq, config.n_max) if method in ("ortho", "both") else None
+    dets = hankel_sweep(seq, config.n_max) if method in ("det", "both") else None
     try:
         for n in range(config.n_max + 1):
             if states is not None:
                 state = next(states)
-            if method in ("det", "both"):
-                P = hankel_P(seq, n)
-                Q = hankel_Q(seq, n)
+            if dets is not None:
+                P, Q = next(dets)
                 if method == "both" and P / Q != state.partial_sum:
                     raise EngineMismatch(n, P / Q, state.partial_sum)
             else:
@@ -208,11 +213,12 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     report = ValidationReport(family=seq.name, n_max=n_max)
 
     det_P, det_Q, ortho_A, norm_prods = [], [], [], []
+    dets = hankel_sweep(seq, n_max)
     try:
         for state in ortho_states(seq, n_max):
-            n = state.m
-            det_P.append(hankel_P(seq, n))
-            det_Q.append(hankel_Q(seq, n))
+            P, Q = next(dets)
+            det_P.append(P)
+            det_Q.append(Q)
             ortho_A.append(state.partial_sum)
             norm_prods.append(norm_product(state))
     except PositivityViolation as exc:

@@ -5,15 +5,34 @@ The two determinant families are
     P_n = -det(a_{i+j})_{i,j=0..n+1}      with a_0 = 0
     Q_n =  det(a_{i+j+2})_{i,j=0..n}
 
-evaluated exactly: each row is scaled by the lcm of its entry denominators,
-the integer matrix goes through fraction-free Bareiss elimination, and the
-scale factor is divided back out. Matrices are plain lists of rows.
+``hankel_sweep`` yields every (P_n, Q_n) for n = 0 .. n_max from one table
+of the Hankel determinants H^(k)_m = det(a_{k+i+j})_{i,j<m}, with
+H^(k)_0 = 1 and H^(k)_1 = a_k, filled by the Desnanot-Jacobi identity
+(Dodgson 1866, "Condensation of determinants"; Bareiss 1968)
+
+    H^(k)_{m+1} = (H^(k)_m H^(k+2)_m - (H^(k+1)_m)^2) / H^(k+2)_{m-1}.
+
+Entry H^(k)_m first needs the moment a_{k+2m-2}, so each moment adds one
+anti-diagonal j = k + 2m - 2, and only the last three anti-diagonals are
+kept. Step n adds the anti-diagonals of a_{2n+1} and a_{2n+2}; the second
+ends with Q_n = H^(2)_{n+1} and -P_n = H^(0)_{n+2}. That is O(n) new
+entries per step, O(N^2) for a sweep, against O(N^4) for per-n
+elimination.
+
+The divisor H^(k+2)_{m-1} can be zero for a custom sequence (the odd
+moments of a symmetric measure vanish, for one). From the step that meets
+one on, the sweep computes each index with ``hankel_P``/``hankel_Q``,
+which evaluate one matrix each: every row is scaled by the lcm of its
+entry denominators, the integer matrix goes through fraction-free Bareiss
+elimination, and the scale factor is divided back out. Matrices are plain
+lists of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 from ._bareiss_py import bareiss_det
 from .errors import NonPositiveQ
@@ -66,3 +85,29 @@ def hankel_Q(seq: MomentSequence, n: int) -> Fraction:
     if value <= 0:
         raise NonPositiveQ(n, value)
     return value
+
+
+def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """Yield (P_n, Q_n) for n = 0 .. n_max in order.
+
+    Step n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
+    a short sequence fails at the first index it lacks; Q_n <= 0 raises
+    NonPositiveQ after both reads.
+    """
+    older, old = None, [Fraction(1), Fraction(0)]  # anti-diagonals j - 2 and j - 1; a_0 = 0
+    for n in range(n_max + 1):
+        for j in (2 * n + 1, 2 * n + 2):
+            diagonal = [Fraction(1), seq.moment(j)]  # diagonal[m] = H^(j-2m+2)_m
+            for m in range(1, j // 2 + 1):
+                if older[m - 1] == 0:
+                    # The identity leaves this entry open: evaluate n and
+                    # every later index by elimination instead.
+                    for rest in range(n, n_max + 1):
+                        yield hankel_P(seq, rest), hankel_Q(seq, rest)
+                    return
+                diagonal.append((older[m] * diagonal[m] - old[m] ** 2) / older[m - 1])
+            older, old = old, diagonal
+        Q = old[n + 1]
+        if Q <= 0:
+            raise NonPositiveQ(n, Q)
+        yield -old[n + 2], Q

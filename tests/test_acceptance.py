@@ -1,17 +1,19 @@
 """End-to-end acceptance checks for the whole package.
 
-Eight checks, one test function each, so a verbose pytest run reports one
+Ten checks, one test function each, so a verbose pytest run reports one
 pass/fail line per check. The first four compare against the frozen
 known-good tables in golden_values.py; the rest assert the structural
 guarantees the construction promises (engine equivalence, positivity,
-monotonicity, orthogonality) and calibrate both determinant routes against
-an independent cofactor oracle.
+monotonicity, orthogonality), calibrate both elimination routes against
+an independent cofactor oracle, check the condensation sweep against
+per-n elimination, and guard that the sweep never falls back to
+elimination on a built-in family.
 
-The sweeps are module-scoped: each family's determinant and recurrence
-runs happen once and every check reads from the shared results. The
-per-n determinant sweeps dominate the runtime, the gamma family most (its
-moment integers reach hundreds of digits); the full module takes about
-35 s, of which the recurrence sweeps take about 3 s.
+The sweeps are module-scoped: each family's determinant sweep and
+recurrence run happen once and every check reads from the shared results.
+The full module takes about 10 s: about 2 s for the moments and the
+determinant sweeps, 2 s for the recurrence runs and 4 s for the per-n
+elimination that the sweep is checked against.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from fractions import Fraction
 
 import pytest
 
+from hankel_approx import hankel
 from hankel_approx._bareiss_py import bareiss_det
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
-from hankel_approx.hankel import det_rational, hankel_P, hankel_Q
+from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
 from hankel_approx.orthopoly import norm_product, ortho_states
 
@@ -57,15 +60,23 @@ def sequences():
 
 
 @pytest.fixture(scope="module")
-def det_sweeps(sequences):
-    """family -> list of (P_n, Q_n) for n = 0 .. range, determinant route."""
-    return {
-        family: [
-            (hankel_P(sequences[family], n), hankel_Q(sequences[family], n))
-            for n in range(FAMILIES[family][2] + 1)
-        ]
-        for family in FAMILIES
-    }
+def eliminations():
+    """family -> matrices the determinant sweep fell back to eliminating."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def det_sweeps(sequences, eliminations):
+    """family -> list of (P_n, Q_n) for n = 0 .. range, determinant sweep."""
+    sweeps, calls = {}, []
+    exact = hankel.det_rational
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "det_rational", lambda rows: calls.append(1) or exact(rows))
+        for family in FAMILIES:
+            before = len(calls)
+            sweeps[family] = list(hankel_sweep(sequences[family], FAMILIES[family][2]))
+            eliminations[family] = len(calls) - before
+    return sweeps
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +179,20 @@ def test_determinant_routes_match_cofactor_oracle():
             rows[i][0] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             rows[i][i] = Fraction(rng.choice([x for x in range(-9, 10) if x]))
         assert arrow_det(rows) == det_rational(rows)
+
+
+def test_sweep_matches_per_index_elimination(det_sweeps, sequences):
+    for family, (_, _, top) in FAMILIES.items():
+        seq = sequences[family]
+        for n in range(17 if family == "gamma" else top + 1):
+            assert det_sweeps[family][n] == (hankel_P(seq, n), hankel_Q(seq, n)), (
+                f"{family} n={n}"
+            )
+
+
+def test_sweep_never_falls_back_on_builtin_families(det_sweeps, eliminations):
+    # A fallback would still give the right values, at O(N^4) cost.
+    assert eliminations == {family: 0 for family in FAMILIES}
 
 
 def test_orthogonality_across_families(sequences, ortho_sweeps):

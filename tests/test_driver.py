@@ -106,12 +106,18 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
     config = RunConfig(family="custom", n_max=3, method=method, moments_file=str(path))
     with pytest.raises(IndexOutOfRange) as excinfo:
         run_convergence(config)
-    assert excinfo.value.available == 4
+    assert (excinfo.value.requested, excinfo.value.available) == (5, 4)
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
 
 def test_run_convergence_detects_engine_mismatch(monkeypatch):
-    monkeypatch.setattr(driver, "hankel_P", lambda seq, n: Fraction(0))
+    exact = driver.hankel_sweep
+
+    def first_P_zeroed(seq, n_max):
+        for n, (P, Q) in enumerate(exact(seq, n_max)):
+            yield (Fraction(0) if n == 0 else P), Q
+
+    monkeypatch.setattr(driver, "hankel_sweep", first_P_zeroed)
     with pytest.raises(EngineMismatch) as excinfo:
         run_convergence(RunConfig(family="gompertz", n_max=2))
     assert excinfo.value.n == 0

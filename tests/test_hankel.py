@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from hankel_approx import hankel
 from hankel_approx._bareiss_py import bareiss_det
+from hankel_approx.cli import main
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import (
     build_P_matrix,
@@ -13,6 +16,7 @@ from hankel_approx.hankel import (
     det_rational,
     hankel_P,
     hankel_Q,
+    hankel_sweep,
 )
 from hankel_approx.moments import custom_sequence
 
@@ -101,6 +105,43 @@ def test_hankel_Q_rejects_nonpositive():
         hankel_Q(seq, 1)
     assert excinfo.value.n == 1
     assert excinfo.value.value == 0
+
+
+# Weights 1, 2, 3 at the nodes +-1, +-2, +-3: the odd moments vanish, so
+# the condensation divisor H^(3)_1 = a_3 is zero at step n = 2.
+SYMMETRIC = [
+    Fraction(sum(w * (x**j + (-x) ** j) for x, w in ((1, 1), (2, 2), (3, 3))))
+    for j in range(1, 13)
+]
+
+
+def test_sweep_falls_back_to_elimination_at_zero_divisor(monkeypatch):
+    seq = custom_sequence("symmetric", SYMMETRIC)
+    assert seq.moment(3) == 0
+    calls = []
+    exact = hankel.det_rational
+    monkeypatch.setattr(hankel, "det_rational", lambda rows: calls.append(len(rows)) or exact(rows))
+    rows, eliminations = [], []
+    for row in hankel_sweep(seq, 5):
+        rows.append(row)
+        eliminations.append(len(calls))
+    # Rows 0 and 1 come off the table; rows 2 .. 5 each take one P and one Q matrix.
+    assert eliminations == [0, 0, 2, 4, 6, 8]
+    assert calls == [4, 3, 5, 4, 6, 5, 7, 6]
+    assert rows == [(hankel_P(seq, n), hankel_Q(seq, n)) for n in range(6)]
+
+
+def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_file):
+    path = write_moments_file("symmetric", [str(a) for a in SYMMETRIC])
+    outputs = []
+    for method in ("det", "ortho"):
+        res = CliRunner().invoke(main, [
+            "approx", "--family", "custom", "--moments-file", str(path),
+            "--n-max", "5", "--method", method, "--format", "csv"])
+        assert res.exit_code == 0
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 7
 
 
 def test_arrow_det_matches_general_route():

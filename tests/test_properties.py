@@ -1,10 +1,13 @@
-"""Property tests: the recurrence against the per-n determinant route.
+"""Property tests: the recurrence and the determinant sweep against the
+per-n determinant route.
 
 Inputs are short random rational sequences, which are mostly not positive
 definite, and the moments a_j = sum_i w_i x_i^j of random discrete
 measures, which are positive definite below the number of nodes when every
-weight is positive and nonzero nodes are distinct. Each sequence holds
-exactly the moments a_1 .. a_{2N+2} that n = 0 .. N need.
+weight is positive and nonzero nodes are distinct. The sweep also gets
+symmetric measures, whose odd moments vanish and put zero divisors in its
+condensation table. Each sequence holds exactly the moments
+a_1 .. a_{2N+2} that n = 0 .. N need.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankel_approx.errors import NonPositiveQ, PositivityViolation
-from hankel_approx.hankel import hankel_P, hankel_Q
+from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import custom_sequence
 from hankel_approx.orthopoly import norm_product, ortho_states
 
@@ -38,6 +41,20 @@ def measure_moments(draw):
     n_max = draw(st.integers(0, 6))
     a = [sum(w * x**j for w, x in zip(weights, nodes)) for j in range(1, 2 * n_max + 3)]
     return custom_sequence("measure", a), n_max
+
+
+@st.composite
+def symmetric_measures(draw):
+    """Weight w at both x and -x: a_3 = 0 is a divisor from n = 2 on."""
+    nodes = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=12, max_denominator=5),
+        min_size=1, max_size=4))
+    magnitudes = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
+    weights = [draw(magnitudes) for _ in nodes]
+    n_max = draw(st.integers(2, 6))
+    a = [sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes))
+         for j in range(1, 2 * n_max + 3)]
+    return custom_sequence("symmetric", a), n_max
 
 
 sequences = st.one_of(random_sequences(), measure_moments())
@@ -85,3 +102,29 @@ def test_positivity_violation_at_first_nonpositive_Q(case):
             break
     assert failed_at == first_bad
     assert len(states) == (n_max + 1 if failed_at is None else failed_at)
+
+
+def determinant_run(rows):
+    """The (P_n, Q_n) rows taken from an iterator, and the n of NonPositiveQ or None."""
+    taken = []
+    try:
+        for row in rows:
+            taken.append(row)
+    except NonPositiveQ as exc:
+        return taken, exc.n
+    return taken, None
+
+
+def per_index_rows(seq, n_max):
+    for n in range(n_max + 1):
+        yield hankel_P(seq, n), hankel_Q(seq, n)
+
+
+@small_and_fast
+@given(st.one_of(random_sequences(), measure_moments(), symmetric_measures()))
+def test_sweep_equals_per_index_determinants(case):
+    seq, n_max = case
+    rows, failed_at = determinant_run(hankel_sweep(seq, n_max))
+    expected, first_bad = determinant_run(per_index_rows(seq, n_max))
+    assert failed_at == first_bad
+    assert rows == expected
