@@ -3,9 +3,11 @@
 The driver walks n = 0 .. n_max for a moment sequence, producing one
 ApproximantRecord per index. Each route is one pass over the moments: the
 determinant sweep (``hankel_sweep``, a condensation table) and the
-recurrence (``ortho_states``, a mixed-moment table). With
-``method="both"`` the two run side by side and are compared at every
-index; a disagreement aborts the run. Abortive errors
+recurrence (``ortho_states``, a mixed-moment table). One walk serves both
+``approx`` and ``validate``: with ``method="both"`` the two routes advance
+in lock step, and at every index the recurrence's (A_n N_n, N_n), where
+N_n is the running product of its squared norms, must equal the
+determinants' (P_n, Q_n); a disagreement aborts the run. Abortive errors
 (EngineMismatch, OrthogonalityLost, PositivityViolation, NonPositiveQ,
 IndexOutOfRange) carry the records produced before the failure so callers
 can still report partial progress.
@@ -27,7 +29,7 @@ from .errors import (
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_sweep
 from .moments import family_sequence
-from .orthopoly import norm_product, ortho_states
+from .orthopoly import ortho_states
 
 # Process exit codes used by the CLI.
 EXIT_VALIDATION = 2
@@ -86,40 +88,50 @@ def resolve_method(config: RunConfig) -> str:
     return "ortho" if config.family == "custom" else "both"
 
 
-def run_convergence(config: RunConfig) -> list:
-    """Records for n = 0 .. n_max, in order."""
-    seq = family_sequence(config.family, config.k, config.moments_file)
-    method = resolve_method(config)
+def _recurrence_pairs(seq, n_max: int):
+    """Yield (A_n * N_n, N_n), N_n = t_0 ... t_n, for n = 0 .. n_max.
+
+    The recurrence's squared norms multiply to Q_n and its running sum A_n
+    is P_n/Q_n, so this pair is the determinant route's (P_n, Q_n).
+    """
+    norm = Fraction(1)
+    for state in ortho_states(seq, n_max):
+        norm *= state.t[-1]
+        yield state.partial_sum * norm, norm
+
+
+def _walk(seq, n_max: int, method: str) -> list:
+    """Records for n = 0 .. n_max from one route, or from both in lock step.
+
+    At each n the recurrence runs before the determinant sweep. With "both"
+    the two (P_n, Q_n) pairs must be equal, which checks A_n = P_n/Q_n and
+    Q_n = t_0 ... t_n at once; the first difference raises EngineMismatch.
+    Any abortive error carries the records finished before it.
+    """
     ref_value = seq.reference.as_fraction() if seq.reference else None
+    recurrence, sweep = _recurrence_pairs(seq, n_max), hankel_sweep(seq, n_max)
+    routes = {"ortho": (recurrence,), "det": (sweep,), "both": (recurrence, sweep)}[method]
 
     records = []
-    states = ortho_states(seq, config.n_max) if method in ("ortho", "both") else None
-    dets = hankel_sweep(seq, config.n_max) if method in ("det", "both") else None
     try:
-        for n in range(config.n_max + 1):
-            if states is not None:
-                state = next(states)
-            if dets is not None:
-                P, Q = next(dets)
-                if method == "both" and P / Q != state.partial_sum:
-                    raise EngineMismatch(n, P / Q, state.partial_sum)
-            else:
-                Q = norm_product(state)
-                P = state.partial_sum * Q
+        for n, pairs in enumerate(zip(*routes)):
+            P, Q = pairs[-1]  # the determinants' pair whenever that route runs
+            if pairs[0] != pairs[-1]:
+                raise EngineMismatch(n, pairs[-1], pairs[0])
             value = P / Q
-            records.append(ApproximantRecord(
-                n=n,
-                P=P,
-                Q=Q,
-                value=value,
-                gap=ref_value - value if ref_value is not None else None,
-                method=method,
-            ))
+            gap = ref_value - value if ref_value is not None else None
+            records.append(ApproximantRecord(n, P, Q, value, gap, method))
     except (PositivityViolation, NonPositiveQ, EngineMismatch, OrthogonalityLost,
             IndexOutOfRange) as exc:
         exc.records = records
         raise
     return records
+
+
+def run_convergence(config: RunConfig) -> list:
+    """Records for n = 0 .. n_max, in order."""
+    seq = family_sequence(config.family, config.k, config.moments_file)
+    return _walk(seq, config.n_max, resolve_method(config))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +201,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     family: str
-    n_max: int
     checks: list = field(default_factory=list)
     violation: PositivityViolation | None = None
 
@@ -200,27 +211,24 @@ class ValidationReport:
 
 def cross_validate(family: str, n_max: int, k: int | None = None,
                    moments_file: str | None = None) -> ValidationReport:
-    """Run both engines side by side and check the structural identities.
+    """Run both engines in lock step and report the structural identities.
 
-    Checks: per-n agreement of the two engines, Q_n equal to the product of
-    squared norms, positivity of Q_n, monotonicity of the approximants, and
-    the strict bound below the reference constant when one is known. A
-    positive-definiteness failure is reported, not raised; a recurrence
-    polynomial that is not orthogonal to an earlier one raises
+    The walk enforces engine agreement, Q_n equal to the product of squared
+    norms and Q_n > 0 (one comparison of the two (P_n, Q_n) pairs per n).
+    A failure of those, or of positive definiteness, is reported, not
+    raised, and ends the report. Monotonicity and the bound below the
+    reference decimal are then read off the records. The reference counts
+    as correct to within one unit of its last digit, so the bound fails only
+    at an approximant >= ref + 10**-d (d fractional digits); one in
+    [ref, ref + 10**-d) passes, and the detail names the first such n. A
+    recurrence polynomial that is not orthogonal to an earlier one raises
     OrthogonalityLost (the recurrence checks this at every step).
     """
     seq = family_sequence(family, k, moments_file)
-    report = ValidationReport(family=seq.name, n_max=n_max)
+    report = ValidationReport(family=seq.name)
 
-    det_P, det_Q, ortho_A, norm_prods = [], [], [], []
-    dets = hankel_sweep(seq, n_max)
     try:
-        for state in ortho_states(seq, n_max):
-            P, Q = next(dets)
-            det_P.append(P)
-            det_Q.append(Q)
-            ortho_A.append(state.partial_sum)
-            norm_prods.append(norm_product(state))
+        records = _walk(seq, n_max, "both")
     except PositivityViolation as exc:
         report.violation = exc
         report.checks.append(CheckResult(
@@ -232,39 +240,31 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
         report.checks.append(CheckResult(
             "positive-Q", False, f"Q_{exc.n} = {exc.value} is not positive"))
         return report
+    except EngineMismatch as exc:
+        report.checks.append(CheckResult(
+            "engine-agreement", False, f"paths disagree first at n = {exc.n}"))
+        return report
 
-    top = len(ortho_A) - 1
-
-    mismatch = next(
-        (n for n in range(top + 1) if det_P[n] / det_Q[n] != ortho_A[n]), None)
-    report.checks.append(CheckResult(
-        "engine-agreement",
-        mismatch is None,
-        f"determinant and recurrence paths equal for n <= {top}"
-        if mismatch is None else f"paths disagree first at n = {mismatch}",
-    ))
-
-    bad_norm = next((n for n in range(top + 1) if det_Q[n] != norm_prods[n]), None)
-    report.checks.append(CheckResult(
-        "norm-factorization",
-        bad_norm is None,
-        f"Q_n equals the product of squared norms for n <= {top}"
-        if bad_norm is None else f"factorization fails first at n = {bad_norm}",
-    ))
-
-    report.checks.append(CheckResult(
-        "positive-Q", all(q > 0 for q in det_Q), f"Q_n > 0 for n <= {top}"))
-
-    monotone = all(ortho_A[n] <= ortho_A[n + 1] for n in range(top))
-    report.checks.append(CheckResult(
-        "monotone", monotone, f"approximants nondecreasing for n <= {top}"))
+    monotone = all(a.value <= b.value for a, b in zip(records, records[1:]))
+    for name, passed, detail in (
+            ("engine-agreement", True, "determinant and recurrence paths equal"),
+            ("norm-factorization", True, "Q_n equals the product of squared norms"),
+            ("positive-Q", True, "Q_n > 0"),
+            ("monotone", monotone, "approximants nondecreasing")):
+        report.checks.append(CheckResult(name, passed, f"{detail} for n <= {n_max}"))
 
     if seq.reference is not None:
+        stored = seq.reference.decimal
         ref = seq.reference.as_fraction()
-        below = all(a < ref for a in ortho_A)
-        report.checks.append(CheckResult(
-            "reference-bound", below,
-            f"every approximant is strictly below {seq.reference.decimal}",
-        ))
+        digits = len(stored.partition(".")[2])
+        upper = ref + Fraction(1, 10 ** digits)
+        below = all(r.value < upper for r in records)
+        reached = next((r.n for r in records if r.value >= ref), None)
+        detail = f"every approximant is strictly below {stored}"
+        if below and reached is not None:
+            detail = (f"every approximant is strictly below {rat_to_decimal(upper, digits)}, "
+                      f"one unit above {stored} in its last digit; the first at or above "
+                      f"{stored} is n = {reached}")
+        report.checks.append(CheckResult("reference-bound", below, detail))
 
     return report

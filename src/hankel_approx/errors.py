@@ -65,16 +65,18 @@ class PositivityViolation(ArithmeticError):
 
 
 class EngineMismatch(RuntimeError):
-    """The determinant and orthogonal-polynomial paths disagreed."""
+    """The paths disagreed at n: ``det_pair`` is the determinants' (P_n, Q_n),
+    ``ortho_pair`` the recurrence's (A_n N_n, N_n) with N_n = t_0 ... t_n."""
 
-    def __init__(self, n, det_value, ortho_value):
+    def __init__(self, n, det_pair, ortho_pair):
         self.n = n
-        self.det_value = det_value
-        self.ortho_value = ortho_value
+        self.det_pair = det_pair
+        self.ortho_pair = ortho_pair
         self.records = None
         super().__init__(
-            f"engines disagree at n={n}: determinant path {det_value}, "
-            f"recurrence path {ortho_value}"
+            f"engines disagree at n={n}: determinant path (P_n, Q_n) = "
+            f"({det_pair[0]}, {det_pair[1]}), recurrence path (A_n N_n, N_n) = "
+            f"({ortho_pair[0]}, {ortho_pair[1]})"
         )
 
 

@@ -11,8 +11,10 @@ and the running sum
     A_m = sum_{i=0..m} s_i^2 / t_i,      t_i = <q_i, q_i>,  s_i = L(x q_i),
 
 equals the determinant ratio P_m/Q_m at every step, while the t_i
-multiply to Q_m. This is an independent cross-check of the determinant
-path that needs O(m) new table entries per step.
+multiply to Q_m. So with N_m = t_0 ... t_m the pair (A_m N_m, N_m) is
+(P_m, Q_m) itself, and the driver compares the two pairs whole. This is
+an independent cross-check of the determinant path that needs O(m) new
+table entries per step.
 
 The polynomials themselves are never formed. Chebyshev's algorithm
 (Gautschi 1982, "On generating orthogonal polynomials"; Gautschi 2004,
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Iterator
 
 from .errors import OrthogonalityLost, PositivityViolation
@@ -135,8 +136,3 @@ def approximant_ortho(seq: MomentSequence, n: int) -> Fraction:
     for state in ortho_states(seq, n):
         pass
     return state.partial_sum
-
-
-def norm_product(state: OrthoState) -> Fraction:
-    """prod_i t_i, which equals the determinant Q_m for this state."""
-    return prod(state.t, start=Fraction(1))

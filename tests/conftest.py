@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hankel_approx import orthopoly
+from hankel_approx import driver, orthopoly
 from hankel_approx.moments import (
     factorial_sequence,
     gamma_sequence,
@@ -67,3 +67,22 @@ def skewed_alpha_1(monkeypatch):
         return (alpha + 1 if k == 1 else alpha), beta
 
     monkeypatch.setattr(orthopoly, "_coefficients", skewed)
+
+
+@pytest.fixture
+def skew_sweep(monkeypatch):
+    """Return a helper that rewrites one row of the driver's determinant sweep.
+
+    ``skew_sweep(n, change)`` makes row n come out as ``change(P_n, Q_n)``;
+    every other row stays exact.
+    """
+    exact = driver.hankel_sweep
+
+    def _skew(bad_n, change):
+        def skewed(seq, n_max):
+            for n, (P, Q) in enumerate(exact(seq, n_max)):
+                yield change(P, Q) if n == bad_n else (P, Q)
+
+        monkeypatch.setattr(driver, "hankel_sweep", skewed)
+
+    return _skew

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,7 +29,7 @@ from hankel_approx._bareiss_py import bareiss_det
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
 from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
-from hankel_approx.orthopoly import norm_product, ortho_states
+from hankel_approx.orthopoly import ortho_states
 
 from .golden_values import (
     GAMMA_ROWS,
@@ -145,7 +146,7 @@ def test_engines_agree_and_norms_factor(det_sweeps, ortho_sweeps):
     for family in FAMILIES:
         for (P, Q), state in zip(det_sweeps[family], ortho_sweeps[family]):
             assert P / Q == state.partial_sum, f"{family} n={state.m}"
-            assert Q == norm_product(state), f"{family} n={state.m}"
+            assert Q == prod(state.t), f"{family} n={state.m}"
 
 
 def test_structural_guarantees(det_sweeps, sequences):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -211,6 +212,58 @@ def test_validate_passes_builtin(runner):
     assert len(lines) == 5
     assert all(line.startswith("PASS ") for line in lines)
     assert any("reference-bound" in line for line in lines)
+
+
+def test_validate_passes_inside_the_last_reference_digit(runner):
+    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "48"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == (
+        "PASS reference-bound: every approximant is strictly below 0.5963473624, "
+        "one unit above 0.5963473623 in its last digit; the first at or above "
+        "0.5963473623 is n = 46")
+
+
+@pytest.mark.parametrize("reference, n_max, code, line", [
+    ("0.5714286", 1, 0, "PASS reference-bound: every approximant is strictly below 0.5714286"),
+    ("0.5714285", 1, 0, "PASS reference-bound: every approximant is strictly below 0.5714286, "
+                        "one unit above 0.5714285 in its last digit; the first at or above "
+                        "0.5714285 is n = 1"),
+    ("0.5714284", 1, 2, "FAIL reference-bound: every approximant is strictly below 0.5714284"),
+    ("0.5", 1, 0, "PASS reference-bound: every approximant is strictly below 0.6, "
+                  "one unit above 0.5 in its last digit; the first at or above 0.5 is n = 0"),
+    ("0.4", 0, 2, "FAIL reference-bound: every approximant is strictly below 0.4"),
+], ids=["below", "within-last-digit", "above", "at-reference", "at-reference-plus-unit"])
+def test_validate_reference_bound_reads_the_last_digit(runner, write_moments_file,
+                                                       reference, n_max, code, line):
+    # A_0 = 1/2 and A_1 = 4/7 = 0.57142857...: below the first reference,
+    # within one unit above the second, past the third by more than a unit;
+    # A_0 equals the fourth, and the fifth plus one unit.
+    path = write_moments_file("mine", ["1", "2", "5", "16"], reference=reference)
+    res = runner.invoke(
+        main,
+        ["validate", "--family", "custom", "--moments-file", str(path),
+         "--n-max", str(n_max)],
+    )
+    assert res.exit_code == code
+    assert res.output.splitlines()[-1] == line
+
+
+def test_validate_reports_engine_mismatch(runner, skew_sweep):
+    skew_sweep(0, lambda P, Q: (Fraction(0), Q))
+    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+    assert res.exit_code == 2
+    assert res.stdout == "FAIL engine-agreement: paths disagree first at n = 0\n"
+
+
+def test_approx_reports_mismatch_with_equal_ratios(runner, skew_sweep):
+    # P_1 and Q_1 both doubled keep the ratio 4/7; the pair comparison sees it.
+    skew_sweep(1, lambda P, Q: (2 * P, 2 * Q))
+    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "2"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: engines disagree at n=1: determinant path (P_n, Q_n) = (8, 14), "
+        "recurrence path (A_n N_n, N_n) = (4, 7)\n")
 
 
 def test_validate_factorial_has_no_reference_line(runner):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import hankel_approx.driver as driver
 from hankel_approx.driver import (
     ELIDE_THRESHOLD,
     ApproximantRecord,
@@ -110,18 +109,13 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
 
-def test_run_convergence_detects_engine_mismatch(monkeypatch):
-    exact = driver.hankel_sweep
-
-    def first_P_zeroed(seq, n_max):
-        for n, (P, Q) in enumerate(exact(seq, n_max)):
-            yield (Fraction(0) if n == 0 else P), Q
-
-    monkeypatch.setattr(driver, "hankel_sweep", first_P_zeroed)
+def test_run_convergence_detects_engine_mismatch(skew_sweep):
+    skew_sweep(0, lambda P, Q: (Fraction(0), Q))
     with pytest.raises(EngineMismatch) as excinfo:
         run_convergence(RunConfig(family="gompertz", n_max=2))
     assert excinfo.value.n == 0
     assert excinfo.value.records == []
+    assert (excinfo.value.det_pair, excinfo.value.ortho_pair) == ((0, 2), (1, 2))
 
 
 def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
@@ -223,3 +217,13 @@ def test_cross_validate_reports_violation(write_moments_file):
     assert report.violation.index == 1
     assert [c.name for c in report.checks] == ["positive-definite"]
     assert not report.checks[0].passed
+
+
+def test_cross_validate_passes_inside_the_last_reference_digit():
+    # The stored 0.5963473623 is truncated below the Gompertz constant, and
+    # A_46 .. A_48 lie between the two: the bound is undecided there, not failed.
+    report = cross_validate("gompertz", 48)
+    assert report.passed
+    bound = report.checks[-1]
+    assert bound.name == "reference-bound"
+    assert bound.detail.endswith("the first at or above 0.5963473623 is n = 46")

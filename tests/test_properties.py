@@ -1,26 +1,29 @@
 """Property tests: the recurrence and the determinant sweep against the
-per-n determinant route.
+per-n determinant route, and the driver's walk on each route against the
+others.
 
 Inputs are short random rational sequences, which are mostly not positive
 definite, and the moments a_j = sum_i w_i x_i^j of random discrete
 measures, which are positive definite below the number of nodes when every
 weight is positive and nonzero nodes are distinct. The sweep also gets
 symmetric measures, whose odd moments vanish and put zero divisors in its
-condensation table. Each sequence holds exactly the moments
-a_1 .. a_{2N+2} that n = 0 .. N need.
+condensation table, and so does the walk. Each sequence holds exactly the
+moments a_1 .. a_{2N+2} that n = 0 .. N need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hankel_approx.driver import _walk
 from hankel_approx.errors import NonPositiveQ, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import custom_sequence
-from hankel_approx.orthopoly import norm_product, ortho_states
+from hankel_approx.orthopoly import ortho_states
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 
@@ -85,7 +88,7 @@ def test_partial_sums_equal_determinant_ratio(case):
 def test_norm_product_equals_hankel_Q(case):
     seq, n_max = case
     for state in recurrence_run(seq, n_max)[0]:
-        assert norm_product(state) == hankel_Q(seq, state.m)
+        assert prod(state.t) == hankel_Q(seq, state.m)
 
 
 @small_and_fast
@@ -128,3 +131,22 @@ def test_sweep_equals_per_index_determinants(case):
     expected, first_bad = determinant_run(per_index_rows(seq, n_max))
     assert failed_at == first_bad
     assert rows == expected
+
+
+def walk_run(seq, n_max, method):
+    """The driver walk's (n, P, Q, value) rows, and the n it stopped at or None."""
+    try:
+        records, stop = _walk(seq, n_max, method), None
+    except PositivityViolation as exc:
+        records, stop = exc.records, exc.index
+    except NonPositiveQ as exc:
+        records, stop = exc.records, exc.n
+    return [(r.n, r.P, r.Q, r.value) for r in records], stop
+
+
+@small_and_fast
+@given(st.one_of(random_sequences(), measure_moments(), symmetric_measures()))
+def test_walk_gives_the_same_rows_on_every_route(case):
+    seq, n_max = case
+    det, ortho, both = (walk_run(seq, n_max, method) for method in ("det", "ortho", "both"))
+    assert det == ortho == both
