@@ -7,10 +7,18 @@ recurrence (``ortho_states``, a mixed-moment table). One walk serves both
 ``approx`` and ``validate``: with ``method="both"`` the two routes advance
 in lock step, and at every index the recurrence's (A_n N_n, N_n), where
 N_n is the running product of its squared norms, must equal the
-determinants' (P_n, Q_n); a disagreement aborts the run. Abortive errors
-(EngineMismatch, OrthogonalityLost, PositivityViolation, NonPositiveQ,
-IndexOutOfRange) carry the records produced before the failure so callers
-can still report partial progress.
+determinants' (P_n, Q_n); a disagreement aborts the run. ``validate``
+compares the two pairs exactly. ``approx`` compares them mod the prime
+CHECK_PRIME = 2^61 - 1 and runs the determinant table mod that prime only
+(``hankel_residues``), so its cost is close to the recurrence's alone; a
+wrong exact pair escapes it only if the prime divides the numerators of
+both differences to the true pair. A row the residues cannot form (a
+divisor or moment denominator that the prime divides) and every later one
+are compared exactly.
+
+Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
+NonPositiveQ, IndexOutOfRange) carry the records produced before the
+failure so callers can still report partial progress.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     EngineMismatch,
@@ -27,7 +36,7 @@ from .errors import (
     PositivityViolation,
 )
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
-from .hankel import hankel_sweep
+from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import family_sequence
 from .orthopoly import ortho_states
 
@@ -40,6 +49,9 @@ ELIDE_THRESHOLD = 40  # table cells longer than this print as "-" unless exact
 
 METHODS = ("det", "ortho", "both")
 FORMATS = ("table", "csv", "json")
+
+# approx's default check compares both routes mod this fixed (Mersenne) prime.
+CHECK_PRIME = 2**61 - 1
 
 
 @dataclass
@@ -100,24 +112,52 @@ def _recurrence_pairs(seq, n_max: int):
         yield state.partial_sum * norm, norm
 
 
-def _walk(seq, n_max: int, method: str) -> list:
+def _determinant_checks(seq, n_max: int, exact: bool):
+    """Yield (modulus, pair) for n = 0 .. n_max: the determinants' (P_n, Q_n)
+    mod CHECK_PRIME, or exactly (modulus None).
+
+    The residues run until a row cannot be formed mod the prime; from that
+    n on, and throughout with ``exact``, the pairs come from the exact sweep.
+    """
+    done = 0
+    if not exact:
+        p = CHECK_PRIME
+        for pair in hankel_residues(seq, n_max, p):
+            yield p, pair
+            done += 1
+    for pair in islice(hankel_sweep(seq, n_max), done, None):
+        yield None, pair
+
+
+def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
     """Records for n = 0 .. n_max from one route, or from both in lock step.
 
-    At each n the recurrence runs before the determinant sweep. With "both"
-    the two (P_n, Q_n) pairs must be equal, which checks A_n = P_n/Q_n and
-    Q_n = t_0 ... t_n at once; the first difference raises EngineMismatch.
-    Any abortive error carries the records finished before it.
+    With "both" the recurrence produces every record, and at each n its
+    (A_n N_n, N_n) must equal the determinants' (P_n, Q_n), which checks
+    A_n = P_n/Q_n and Q_n = t_0 ... t_n at once; the first difference
+    raises EngineMismatch. The recurrence runs first at each n, so its
+    errors come before anything from the determinant side. With ``exact``
+    the pairs are compared exactly; otherwise both are reduced mod the
+    prime p = CHECK_PRIME, and a wrong exact pair passes only if p divides
+    the numerators of both differences to the true (P_n, Q_n). Any
+    abortive error carries the records finished before it.
     """
     ref_value = seq.reference.as_fraction() if seq.reference else None
-    recurrence, sweep = _recurrence_pairs(seq, n_max), hankel_sweep(seq, n_max)
-    routes = {"ortho": (recurrence,), "det": (sweep,), "both": (recurrence, sweep)}[method]
+    if method == "both":
+        rows = zip(_recurrence_pairs(seq, n_max), _determinant_checks(seq, n_max, exact))
+    else:
+        route = hankel_sweep if method == "det" else _recurrence_pairs
+        rows = ((pair, None) for pair in route(seq, n_max))
 
     records = []
     try:
-        for n, pairs in enumerate(zip(*routes)):
-            P, Q = pairs[-1]  # the determinants' pair whenever that route runs
-            if pairs[0] != pairs[-1]:
-                raise EngineMismatch(n, pairs[-1], pairs[0])
+        for n, (pair, check) in enumerate(rows):
+            if check is not None:
+                modulus, expected = check
+                seen = pair if modulus is None else tuple(residue(x, modulus) for x in pair)
+                if seen != expected:
+                    raise EngineMismatch(n, expected, seen, modulus)
+            P, Q = pair
             value = P / Q
             gap = ref_value - value if ref_value is not None else None
             records.append(ApproximantRecord(n, P, Q, value, gap, method))
@@ -228,7 +268,7 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     report = ValidationReport(family=seq.name)
 
     try:
-        records = _walk(seq, n_max, "both")
+        records = _walk(seq, n_max, "both", exact=True)
     except PositivityViolation as exc:
         report.violation = exc
         report.checks.append(CheckResult(

@@ -66,17 +66,23 @@ class PositivityViolation(ArithmeticError):
 
 class EngineMismatch(RuntimeError):
     """The paths disagreed at n: ``det_pair`` is the determinants' (P_n, Q_n),
-    ``ortho_pair`` the recurrence's (A_n N_n, N_n) with N_n = t_0 ... t_n."""
+    ``ortho_pair`` the recurrence's (A_n N_n, N_n) with N_n = t_0 ... t_n.
 
-    def __init__(self, n, det_pair, ortho_pair):
+    With a ``modulus`` p both pairs are residues mod p (None for a value
+    whose denominator p divides); without one they are exact.
+    """
+
+    def __init__(self, n, det_pair, ortho_pair, modulus=None):
         self.n = n
         self.det_pair = det_pair
         self.ortho_pair = ortho_pair
+        self.modulus = modulus
         self.records = None
+        residues = "" if modulus is None else f", both mod {modulus}"
         super().__init__(
             f"engines disagree at n={n}: determinant path (P_n, Q_n) = "
             f"({det_pair[0]}, {det_pair[1]}), recurrence path (A_n N_n, N_n) = "
-            f"({ortho_pair[0]}, {ortho_pair[1]})"
+            f"({ortho_pair[0]}, {ortho_pair[1]}){residues}"
         )
 
 

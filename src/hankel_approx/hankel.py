@@ -1,4 +1,4 @@
-"""Hankel matrices from moment sequences and their exact determinants.
+"""Hankel matrices from moment sequences and their determinants, exact or mod a prime.
 
 The two determinant families are
 
@@ -26,6 +26,13 @@ which evaluate one matrix each: every row is scaled by the lcm of its
 entry denominators, the integer matrix goes through fraction-free Bareiss
 elimination, and the scale factor is divided back out. Matrices are plain
 lists of rows.
+
+``hankel_residues`` runs the same table on the moments reduced mod a prime
+p, dividing by modular inverses, and yields (P_n mod p, Q_n mod p). Its
+entries stay below p, so a row costs O(n) word-size operations however
+large the exact determinants grow. A divisor that is 0 mod p (an exact
+zero, or p dividing a nonzero one), or a moment whose denominator p
+divides, ends it early; the caller decides what replaces the rest.
 """
 
 from __future__ import annotations
@@ -87,6 +94,28 @@ def hankel_Q(seq: MomentSequence, n: int) -> Fraction:
     return value
 
 
+def _condense(moment, divide, n_max: int) -> Iterator[tuple]:
+    """Yield (-H^(0)_{n+2}, H^(2)_{n+1}) for n = 0, 1, ... up to n_max.
+
+    ``moment(j)`` gives a_j and ``divide`` the quotient of two entries, in
+    whichever arithmetic the caller works. The table stops before the
+    first row it cannot finish: at a zero divisor, or at a moment that
+    ``moment`` gives as None.
+    """
+    older, old = None, [1, 0]  # anti-diagonals j - 2 and j - 1; a_0 = 0
+    for n in range(n_max + 1):
+        for j in (2 * n + 1, 2 * n + 2):
+            diagonal = [1, moment(j)]  # diagonal[m] = H^(j-2m+2)_m
+            if diagonal[1] is None:
+                return
+            for m in range(1, j // 2 + 1):
+                if older[m - 1] == 0:
+                    return
+                diagonal.append(divide(older[m] * diagonal[m] - old[m] ** 2, older[m - 1]))
+            older, old = old, diagonal
+        yield -old[n + 2], old[n + 1]
+
+
 def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
     """Yield (P_n, Q_n) for n = 0 .. n_max in order.
 
@@ -94,20 +123,34 @@ def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fr
     a short sequence fails at the first index it lacks; Q_n <= 0 raises
     NonPositiveQ after both reads.
     """
-    older, old = None, [Fraction(1), Fraction(0)]  # anti-diagonals j - 2 and j - 1; a_0 = 0
-    for n in range(n_max + 1):
-        for j in (2 * n + 1, 2 * n + 2):
-            diagonal = [Fraction(1), seq.moment(j)]  # diagonal[m] = H^(j-2m+2)_m
-            for m in range(1, j // 2 + 1):
-                if older[m - 1] == 0:
-                    # The identity leaves this entry open: evaluate n and
-                    # every later index by elimination instead.
-                    for rest in range(n, n_max + 1):
-                        yield hankel_P(seq, rest), hankel_Q(seq, rest)
-                    return
-                diagonal.append((older[m] * diagonal[m] - old[m] ** 2) / older[m - 1])
-            older, old = old, diagonal
-        Q = old[n + 1]
+    done = 0
+    for P, Q in _condense(seq.moment, Fraction.__truediv__, n_max):
         if Q <= 0:
-            raise NonPositiveQ(n, Q)
-        yield -old[n + 2], Q
+            raise NonPositiveQ(done, Q)
+        yield P, Q
+        done += 1
+    # The identity left row `done` open: evaluate it and every later index
+    # by elimination instead.
+    for n in range(done, n_max + 1):
+        yield hankel_P(seq, n), hankel_Q(seq, n)
+
+
+def residue(x: Fraction, p: int) -> int | None:
+    """x mod the prime p, or None when p divides the denominator of x."""
+    if x.denominator % p == 0:
+        return None
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def hankel_residues(seq: MomentSequence, n_max: int, p: int) -> Iterator[tuple[int, int]]:
+    """Yield (P_n mod p, Q_n mod p) for n = 0, 1, ... up to n_max.
+
+    The same table as ``hankel_sweep``, over the integers mod the prime p:
+    word-size entries instead of growing fractions. It stops before the
+    first row it cannot form, at a moment whose denominator p divides or
+    at a divisor that is 0 mod p; residues carry no sign, so Q_n is not
+    checked.
+    """
+    for P, Q in _condense(lambda j: residue(seq.moment(j), p),
+                          lambda x, d: x * pow(d, -1, p) % p, n_max):
+        yield P % p, Q

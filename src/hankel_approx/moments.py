@@ -96,18 +96,15 @@ class MomentSequence:
     """Named provider of exact moments a_n = L(e_n) for n >= 1.
 
     Backed either by a generator function (built-in families) or a fixed
-    list of values (custom sequences). Generated values are cached; the
-    cache fill is idempotent, so concurrent readers see identical values.
+    list of values (custom sequences). Generated values are cached.
     ``reference`` optionally holds the target constant's decimal string.
     """
 
-    def __init__(self, name: str, kind: str, *, fn=None, values=None,
-                 reference: str | None = None, k: int | None = None):
+    def __init__(self, name: str, *, fn=None, values=None,
+                 reference: str | None = None):
         if (fn is None) == (values is None):
             raise ValueError("exactly one of fn/values must be given")
         self.name = name
-        self.kind = kind
-        self.k = k
         self._fn = fn
         self._values = list(values) if values is not None else None
         self._cache: list[Fraction] = []
@@ -130,33 +127,33 @@ class MomentSequence:
         return [self.moment(n) for n in range(1, count + 1)]
 
     def __repr__(self) -> str:
-        return f"MomentSequence({self.name!r}, kind={self.kind!r})"
+        return f"MomentSequence({self.name!r})"
 
 
 def gamma_sequence() -> MomentSequence:
-    return MomentSequence("gamma", "gamma", fn=gamma_moment,
+    return MomentSequence("gamma", fn=gamma_moment,
                           reference=REFERENCE_DECIMALS["gamma"])
 
 
 def gompertz_sequence() -> MomentSequence:
-    return MomentSequence("gompertz", "gompertz", fn=gompertz_moment,
+    return MomentSequence("gompertz", fn=gompertz_moment,
                           reference=REFERENCE_DECIMALS["gompertz"])
 
 
 def zeta_sequence(k: int) -> MomentSequence:
     if k < 2:
         raise ValueError(f"zeta requires k >= 2, got {k}")
-    return MomentSequence(f"zeta({k})", "zeta", fn=lambda n: zeta_moment(k, n),
-                          reference=REFERENCE_DECIMALS.get(("zeta", k)), k=k)
+    return MomentSequence(f"zeta({k})", fn=lambda n: zeta_moment(k, n),
+                          reference=REFERENCE_DECIMALS.get(("zeta", k)))
 
 
 def factorial_sequence() -> MomentSequence:
     # No reference: the approximants of this family do not converge.
-    return MomentSequence("factorial", "factorial", fn=factorial_moment)
+    return MomentSequence("factorial", fn=factorial_moment)
 
 
 def custom_sequence(name: str, values, reference: str | None = None) -> MomentSequence:
-    return MomentSequence(name, "custom", values=values, reference=reference)
+    return MomentSequence(name, values=values, reference=reference)
 
 
 def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:

@@ -69,20 +69,34 @@ def skewed_alpha_1(monkeypatch):
     monkeypatch.setattr(orthopoly, "_coefficients", skewed)
 
 
+def skew_rows(monkeypatch, route: str, bad_n: int, change) -> None:
+    """Make row ``bad_n`` of the driver's ``route`` come out as ``change(*row)``.
+
+    ``route`` names a generator of (P_n, Q_n)-like pairs that the driver
+    calls: "hankel_sweep", "hankel_residues" or "_recurrence_pairs". Every
+    other row stays as it was.
+    """
+    exact = getattr(driver, route)
+
+    def skewed(*args):
+        for n, row in enumerate(exact(*args)):
+            yield change(*row) if n == bad_n else row
+
+    monkeypatch.setattr(driver, route, skewed)
+
+
 @pytest.fixture
 def skew_sweep(monkeypatch):
-    """Return a helper that rewrites one row of the driver's determinant sweep.
+    """Return a helper that rewrites one row of the driver's exact determinant sweep.
 
     ``skew_sweep(n, change)`` makes row n come out as ``change(P_n, Q_n)``;
     every other row stays exact.
     """
-    exact = driver.hankel_sweep
+    return lambda bad_n, change: skew_rows(monkeypatch, "hankel_sweep", bad_n, change)
 
-    def _skew(bad_n, change):
-        def skewed(seq, n_max):
-            for n, (P, Q) in enumerate(exact(seq, n_max)):
-                yield change(P, Q) if n == bad_n else (P, Q)
 
-        monkeypatch.setattr(driver, "hankel_sweep", skewed)
-
-    return _skew
+@pytest.fixture
+def skew_residues(monkeypatch):
+    """Like ``skew_sweep``, for the determinants mod the check prime that
+    ``approx``'s default walk compares against."""
+    return lambda bad_n, change: skew_rows(monkeypatch, "hankel_residues", bad_n, change)

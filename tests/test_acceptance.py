@@ -1,19 +1,21 @@
 """End-to-end acceptance checks for the whole package.
 
-Ten checks, one test function each, so a verbose pytest run reports one
+Eleven checks, one test function each, so a verbose pytest run reports one
 pass/fail line per check. The first four compare against the frozen
 known-good tables in golden_values.py; the rest assert the structural
 guarantees the construction promises (engine equivalence, positivity,
 monotonicity, orthogonality), calibrate both elimination routes against
 an independent cofactor oracle, check the condensation sweep against
-per-n elimination, and guard that the sweep never falls back to
-elimination on a built-in family.
+per-n elimination, guard that the sweep never falls back to elimination
+on a built-in family, and that ``approx``'s default walk computes no
+exact determinant at all.
 
 The sweeps are module-scoped: each family's determinant sweep and
 recurrence run happen once and every check reads from the shared results.
-The full module takes about 10 s: about 2 s for the moments and the
-determinant sweeps, 2 s for the recurrence runs and 4 s for the per-n
-elimination that the sweep is checked against.
+The full module takes about 22 s on a 2-CPU x86-64 machine with CPython
+3.11: about 4 s for the moments and the determinant sweeps, 3 s for the
+recurrence runs, 8 s for the per-n elimination that the sweep is checked
+against and 4 s for the default walks.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from math import prod
 
 import pytest
 
-from hankel_approx import hankel
+from hankel_approx import driver, hankel
 from hankel_approx._bareiss_py import bareiss_det
+from hankel_approx.driver import RunConfig, run_convergence
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
 from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
@@ -205,3 +208,19 @@ def test_orthogonality_across_families(sequences, ortho_sweeps):
                 assert inner_product(polys[i], polys[j], seq) == 0, (
                     f"{family}: <q_{i}, q_{j}> != 0"
                 )
+
+
+def test_default_walk_makes_no_exact_determinant_call(det_sweeps, monkeypatch):
+    # approx's default compares the recurrence with the determinants mod a
+    # prime; on a built-in family it never needs an exact determinant.
+    sweep_rows, det_calls = [], []
+    sweep, det = driver.hankel_sweep, hankel.det_rational
+    monkeypatch.setattr(driver, "hankel_sweep", lambda seq, n_max: (
+        sweep_rows.append(1) or row for row in sweep(seq, n_max)))
+    monkeypatch.setattr(hankel, "det_rational", lambda rows: det_calls.append(1) or det(rows))
+    for family, (name, k, top) in FAMILIES.items():
+        top = 48 if family == "gompertz" else top
+        records = run_convergence(RunConfig(family=name, k=k, n_max=top))
+        assert [r.n for r in records] == list(range(top + 1)), family
+        assert [(r.P, r.Q) for r in records[:len(det_sweeps[family])]] == det_sweeps[family]
+    assert (sweep_rows, det_calls) == ([], [])

@@ -7,6 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from hankel_approx.cli import main
+from hankel_approx.driver import CHECK_PRIME
+from hankel_approx.hankel import hankel_residues
+from hankel_approx.moments import load_moments
 
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
@@ -143,6 +146,25 @@ def test_approx_short_custom_sequence(runner, write_moments_file):
     assert "supports no n" in res.stderr
 
 
+def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
+        runner, write_moments_file):
+    # A weight of 1/CHECK_PRIME puts the prime in every moment's denominator,
+    # so no residue can be formed and both compares with the exact sweep.
+    weights, nodes = (1, Fraction(1, CHECK_PRIME), 3), (1, 2, Fraction(1, 3))
+    a = [sum(w * x**j for w, x in zip(weights, nodes)) for j in range(1, 7)]
+    path = write_moments_file("tiny-weight", [str(v) for v in a])
+    assert list(hankel_residues(load_moments(path), 2, CHECK_PRIME)) == []
+    runs = {
+        method: runner.invoke(main, [
+            "approx", "--family", "custom", "--moments-file", str(path),
+            "--n-max", "2", "--format", "csv", "--method", method])
+        for method in ("both", "det")
+    }
+    assert [res.exit_code for res in runs.values()] == [0, 0]
+    assert runs["both"].stdout == runs["det"].stdout
+    assert len(runs["both"].stdout.splitlines()) == 4
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -255,15 +277,15 @@ def test_validate_reports_engine_mismatch(runner, skew_sweep):
     assert res.stdout == "FAIL engine-agreement: paths disagree first at n = 0\n"
 
 
-def test_approx_reports_mismatch_with_equal_ratios(runner, skew_sweep):
+def test_approx_reports_mismatch_with_equal_ratios(runner, skew_residues):
     # P_1 and Q_1 both doubled keep the ratio 4/7; the pair comparison sees it.
-    skew_sweep(1, lambda P, Q: (2 * P, 2 * Q))
+    skew_residues(1, lambda P, Q: (2 * P % CHECK_PRIME, 2 * Q % CHECK_PRIME))
     res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "2"])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == (
         "error: engines disagree at n=1: determinant path (P_n, Q_n) = (8, 14), "
-        "recurrence path (A_n N_n, N_n) = (4, 7)\n")
+        "recurrence path (A_n N_n, N_n) = (4, 7), both mod 2305843009213693951\n")
 
 
 def test_validate_factorial_has_no_reference_line(runner):

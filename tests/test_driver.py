@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from hankel_approx import driver
 from hankel_approx.driver import (
+    CHECK_PRIME,
     ELIDE_THRESHOLD,
     ApproximantRecord,
     RunConfig,
@@ -22,7 +24,8 @@ from hankel_approx.errors import (
     PositivityViolation,
 )
 from hankel_approx.exactnum import rat_to_decimal
-from hankel_approx.moments import ReferenceConstant
+from hankel_approx.hankel import hankel_residues
+from hankel_approx.moments import ReferenceConstant, gompertz_sequence
 
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
@@ -109,13 +112,53 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
 
-def test_run_convergence_detects_engine_mismatch(skew_sweep):
-    skew_sweep(0, lambda P, Q: (Fraction(0), Q))
+def test_run_convergence_detects_engine_mismatch(skew_residues):
+    skew_residues(0, lambda P, Q: (0, Q))
     with pytest.raises(EngineMismatch) as excinfo:
         run_convergence(RunConfig(family="gompertz", n_max=2))
     assert excinfo.value.n == 0
     assert excinfo.value.records == []
+    assert excinfo.value.modulus == CHECK_PRIME == 2**61 - 1
     assert (excinfo.value.det_pair, excinfo.value.ortho_pair) == ((0, 2), (1, 2))
+    assert str(excinfo.value).endswith(", both mod 2305843009213693951")
+
+
+def test_cross_validate_detects_engine_mismatch_exactly(monkeypatch, skew_sweep):
+    skew_sweep(0, lambda P, Q: (Fraction(0), Q))
+    raised, walk = [], driver._walk
+
+    def spy(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except EngineMismatch as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(driver, "_walk", spy)
+    report = cross_validate("gompertz", 2)
+    assert [(c.name, c.passed) for c in report.checks] == [("engine-agreement", False)]
+    [exc] = raised
+    assert exc.modulus is None
+    assert (exc.n, exc.records) == (0, [])
+    assert (exc.det_pair, exc.ortho_pair) == ((0, 2), (1, 2))
+    assert "mod" not in str(exc)
+
+
+def test_default_walk_compares_exactly_from_the_first_row_the_prime_cannot_form(
+        monkeypatch, skew_sweep):
+    # Mod 7 the gompertz table meets a zero divisor in row 2, so rows 0 and 1
+    # are checked by residues and rows 2 on against the exact sweep.
+    monkeypatch.setattr(driver, "CHECK_PRIME", 7)
+    assert len(list(hankel_residues(gompertz_sequence(), 6, 7))) == 2
+    skew_sweep(1, lambda P, Q: (P + 1, Q))
+    both, ortho = (run_convergence(RunConfig(family="gompertz", n_max=6, method=method))
+                   for method in ("both", "ortho"))
+    assert [(r.n, r.P, r.Q) for r in both] == [(r.n, r.P, r.Q) for r in ortho]
+    skew_sweep(4, lambda P, Q: (P, Q + 1))  # on top of the row-1 change
+    with pytest.raises(EngineMismatch) as excinfo:
+        run_convergence(RunConfig(family="gompertz", n_max=6))
+    assert (excinfo.value.n, excinfo.value.modulus) == (4, None)
+    assert [r.n for r in excinfo.value.records] == [0, 1, 2, 3]
 
 
 def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):

@@ -92,9 +92,9 @@ def test_sequence_caching_is_stable():
 
 def test_sequence_requires_exactly_one_source():
     with pytest.raises(ValueError):
-        MomentSequence("x", "custom")
+        MomentSequence("x")
     with pytest.raises(ValueError):
-        MomentSequence("x", "custom", fn=lambda n: Fraction(n), values=[Fraction(1)])
+        MomentSequence("x", fn=lambda n: Fraction(n), values=[Fraction(1)])
 
 
 def test_fixed_sequence_bounds():
@@ -112,11 +112,11 @@ def test_builtin_sequence_dispatch(write_moments_file):
     assert set(FAMILIES) == {"gamma", "gompertz", "zeta", "factorial", "custom"}
     assert family_sequence("gamma").name == "gamma"
     assert family_sequence("zeta", 3).name == "zeta(3)"
-    assert family_sequence("zeta", 3).k == 3
+    assert family_sequence("zeta", 3).moments(2) == [1, Fraction(7, 8)]  # 1 - 1/2^3
     assert family_sequence("factorial").reference is None
     path = write_moments_file("mine", ["1", "7/2"])
     custom = family_sequence("custom", moments_file=path)
-    assert (custom.name, custom.kind, custom.moments(2)) == ("mine", "custom", [1, Fraction(7, 2)])
+    assert (custom.name, custom.moments(2)) == ("mine", [1, Fraction(7, 2)])
     with pytest.raises(ValueError):
         family_sequence("zeta")
     with pytest.raises(ValueError):
@@ -140,7 +140,6 @@ def test_load_moments_roundtrip(write_moments_file):
     path = write_moments_file("mine", ["1", "2", "5", "31/6"], reference="0.5963473623")
     seq = load_moments(path)
     assert seq.name == "mine"
-    assert seq.kind == "custom"
     assert seq.moments(4) == [1, 2, 5, Fraction(31, 6)]
     assert seq.reference.as_fraction() == Fraction(5963473623, 10**10)
 

@@ -16,14 +16,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hankel_approx.driver import _walk
-from hankel_approx.errors import NonPositiveQ, PositivityViolation
-from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
+from hankel_approx import driver
+from hankel_approx.driver import CHECK_PRIME, _walk
+from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
+from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_sweep
 from hankel_approx.moments import custom_sequence
 from hankel_approx.orthopoly import ortho_states
+
+from .conftest import skew_rows
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 
@@ -144,9 +148,51 @@ def walk_run(seq, n_max, method):
     return [(r.n, r.P, r.Q, r.value) for r in records], stop
 
 
+all_sequences = st.one_of(random_sequences(), measure_moments(), symmetric_measures())
+
+
 @small_and_fast
-@given(st.one_of(random_sequences(), measure_moments(), symmetric_measures()))
+@given(all_sequences)
 def test_walk_gives_the_same_rows_on_every_route(case):
     seq, n_max = case
     det, ortho, both = (walk_run(seq, n_max, method) for method in ("det", "ortho", "both"))
     assert det == ortho == both
+
+
+@small_and_fast
+@given(all_sequences)
+def test_walk_gives_the_same_rows_when_the_check_prime_is_small(case):
+    # Mod 7 many moment denominators and table divisors vanish, so the
+    # default walk often switches to the exact sweep part way through.
+    seq, n_max = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "CHECK_PRIME", 7)
+        det, ortho, both = (walk_run(seq, n_max, method) for method in ("det", "ortho", "both"))
+    assert det == ortho == both
+
+
+@small_and_fast
+@given(all_sequences, st.data())
+def test_default_walk_catches_a_one_entry_change_of_either_route(case, data):
+    seq, n_max = case
+    rows, _ = walk_run(seq, n_max, "both")
+    formed = len(list(hankel_residues(seq, n_max, CHECK_PRIME)))  # later rows are exact
+    route = data.draw(st.sampled_from(("_recurrence_pairs", "hankel_residues")))
+    reach = len(rows) if route == "_recurrence_pairs" else min(len(rows), formed)
+    assume(reach > 0)
+    bad_n = data.draw(st.integers(0, reach - 1), label="bad_n")
+    entry = data.draw(st.sampled_from((0, 1)), label="entry")  # P_n or Q_n
+
+    def change(*pair):
+        changed = pair[entry] + 1
+        if route == "hankel_residues":
+            changed %= CHECK_PRIME
+        return pair[:entry] + (changed,) + pair[entry + 1:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        skew_rows(mp, route, bad_n, change)
+        with pytest.raises(EngineMismatch) as excinfo:
+            _walk(seq, n_max, "both")
+    assert excinfo.value.n == bad_n
+    assert excinfo.value.modulus == (CHECK_PRIME if bad_n < formed else None)
+    assert [(r.n, r.P, r.Q, r.value) for r in excinfo.value.records] == rows[:bad_n]
