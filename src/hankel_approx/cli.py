@@ -17,7 +17,6 @@ from .driver import (
     EXIT_VALIDATION,
     FORMATS,
     METHODS,
-    RunConfig,
     cross_validate,
     emit,
     run_convergence,
@@ -82,10 +81,8 @@ def main():
 def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     """Compute approximants P_n/Q_n for n = 0 .. N-MAX."""
     _check_family_args(family, k, moments_file)
-    config = RunConfig(family=family, k=k, n_max=n_max, method=method,
-                       moments_file=moments_file)
     try:
-        records = run_convergence(config)
+        records = run_convergence(family, n_max, k, method, moments_file)
     except (ParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)

@@ -16,6 +16,11 @@ both differences to the true pair. A row the residues cannot form (a
 divisor or moment denominator that the prime divides) and every later one
 are compared exactly.
 
+``run_convergence`` (``approx``) and ``cross_validate`` (``validate``)
+take the CLI's arguments as plain parameters. Each input rule is checked
+once: ``family_sequence`` checks the family arguments (zeta needs k >= 2,
+custom a moments file), and ``_walk`` checks n_max >= 0 and the method.
+
 Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
 NonPositiveQ, IndexOutOfRange) carry the records produced before the
 failure so callers can still report partial progress.
@@ -54,34 +59,6 @@ FORMATS = ("table", "csv", "json")
 CHECK_PRIME = 2**61 - 1
 
 
-@dataclass
-class RunConfig:
-    """Everything a convergence run needs.
-
-    ``method=None`` resolves to "both" for built-in families and "ortho"
-    for custom sequences: a custom sequence can put a zero divisor in the
-    determinant sweep's table, and from there on the sweep falls back to
-    per-index elimination, O(N^4) instead of O(N^2); the recurrence has no
-    such case.
-    """
-
-    family: str
-    n_max: int
-    k: int | None = None
-    method: str | None = None
-    moments_file: str | None = None
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if self.family == "zeta" and (self.k is None or self.k < 2):
-            raise ValueError("zeta family requires k >= 2")
-        if self.family == "custom" and not self.moments_file:
-            raise ValueError("custom family requires a moments file")
-        if self.method is not None and self.method not in METHODS:
-            raise ValueError(f"unknown method: {self.method!r}")
-
-
 @dataclass(frozen=True)
 class ApproximantRecord:
     """One convergence row: exact P_n, Q_n, their ratio, and the gap to the target."""
@@ -92,12 +69,6 @@ class ApproximantRecord:
     value: Fraction
     gap: Fraction | None
     method: str
-
-
-def resolve_method(config: RunConfig) -> str:
-    if config.method is not None:
-        return config.method
-    return "ortho" if config.family == "custom" else "both"
 
 
 def _recurrence_pairs(seq, n_max: int):
@@ -140,8 +111,13 @@ def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
     the pairs are compared exactly; otherwise both are reduced mod the
     prime p = CHECK_PRIME, and a wrong exact pair passes only if p divides
     the numerators of both differences to the true (P_n, Q_n). Any
-    abortive error carries the records finished before it.
+    abortive error carries the records finished before it. A negative
+    ``n_max`` or a method outside METHODS raises ValueError.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method: {method!r}")
     ref_value = seq.reference.as_fraction() if seq.reference else None
     if method == "both":
         rows = zip(_recurrence_pairs(seq, n_max), _determinant_checks(seq, n_max, exact))
@@ -168,10 +144,19 @@ def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
     return records
 
 
-def run_convergence(config: RunConfig) -> list:
-    """Records for n = 0 .. n_max, in order."""
-    seq = family_sequence(config.family, config.k, config.moments_file)
-    return _walk(seq, config.n_max, resolve_method(config))
+def run_convergence(family: str, n_max: int, k: int | None = None,
+                    method: str | None = None, moments_file: str | None = None) -> list:
+    """Records for n = 0 .. n_max, in order.
+
+    ``method=None`` means "ortho" for custom sequences and "both" otherwise:
+    a custom sequence can put a zero divisor in the determinant sweep's
+    table, and from there on the sweep falls back to per-index elimination,
+    O(N^4) instead of O(N^2); the recurrence has no such case.
+    """
+    seq = family_sequence(family, k, moments_file)
+    if method is None:
+        method = "ortho" if family == "custom" else "both"
+    return _walk(seq, n_max, method)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +179,7 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
     if format == "table":
         lines = []
         for r in records:
-            dec = rat_to_decimal(r.value, digits).text
+            dec = rat_to_decimal(r.value, digits)
             lines.append(f"{r.n} | {_table_cell(r.value, exact)} | {dec}")
         text = "\n".join(lines)
     elif format == "csv":
@@ -214,7 +199,7 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
                 "P": format_rational(r.P),
                 "Q": format_rational(r.Q),
                 "value": format_rational(r.value),
-                "decimal": rat_to_decimal(r.value, digits).text,
+                "decimal": rat_to_decimal(r.value, digits),
                 "gap": format_rational(r.gap) if r.gap is not None else None,
                 "method": r.method,
             })
@@ -240,7 +225,6 @@ class CheckResult:
 
 @dataclass
 class ValidationReport:
-    family: str
     checks: list = field(default_factory=list)
     violation: PositivityViolation | None = None
 
@@ -265,7 +249,7 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     OrthogonalityLost (the recurrence checks this at every step).
     """
     seq = family_sequence(family, k, moments_file)
-    report = ValidationReport(family=seq.name)
+    report = ValidationReport()
 
     try:
         records = _walk(seq, n_max, "both", exact=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominator
@@ -48,21 +47,6 @@ def format_rational(r: Fraction) -> str:
     return str(Fraction(r))
 
 
-@dataclass(frozen=True)
-class DecimalString:
-    """Fixed-point decimal rendering: sign, integer part, '.', exactly `digits` fractional digits."""
-
-    text: str
-    digits: int
-
-    def as_fraction(self) -> Fraction:
-        """Parse the text back into an exact rational."""
-        return parse_decimal(self.text)
-
-    def __str__(self) -> str:
-        return self.text
-
-
 def parse_decimal(text: str) -> Fraction:
     """Read a fixed-point decimal string ("0.5772156649") as an exact rational."""
     m = _DECIMAL_RE.match(text.strip())
@@ -73,8 +57,9 @@ def parse_decimal(text: str) -> Fraction:
     return -value if sign else value
 
 
-def rat_to_decimal(r: Fraction, digits: int = DEFAULT_DIGITS) -> DecimalString:
-    """Render a rational with exactly `digits` fractional digits, by exact long division.
+def rat_to_decimal(r: Fraction, digits: int = DEFAULT_DIGITS) -> str:
+    """Render a rational as fixed-point text with exactly `digits` fractional
+    digits ("-1.25"), by exact long division.
 
     Rounds half away from zero: the magnitude goes up when the remainder is
     at least half a unit in the last place, so the printed value differs
@@ -89,5 +74,5 @@ def rat_to_decimal(r: Fraction, digits: int = DEFAULT_DIGITS) -> DecimalString:
     if 2 * rem >= mag.denominator:
         units += 1
     s = str(units).rjust(digits + 1, "0")
-    return DecimalString(f"{sign}{s[:-digits]}.{s[-digits:]}", digits)
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
 

@@ -176,9 +176,14 @@ def load_moments(path) -> MomentSequence:
     ``a`` lists a_1 first (a_0 must not appear) using the rational text
     grammar; ``reference`` is an optional decimal string for the target
     constant. Malformed entries raise ParseError pointing at the offending
-    token; accessing a moment past the end of ``a`` raises IndexOutOfRange.
+    token, and so does a file that is not UTF-8 text; accessing a moment
+    past the end of ``a`` raises IndexOutOfRange.
     """
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"moment file is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -215,8 +220,14 @@ def load_moments(path) -> MomentSequence:
 
 def family_sequence(family: str, k: int | None = None,
                     moments_file=None) -> MomentSequence:
-    """The moment sequence of a family by name; ``custom`` loads ``moments_file``."""
+    """The moment sequence of a family by name; ``custom`` loads ``moments_file``.
+
+    ``zeta`` needs k >= 2 and ``custom`` a moments file; anything else
+    raises ValueError.
+    """
     if family == "custom":
+        if not moments_file:
+            raise ValueError("custom family requires a moments file")
         return load_moments(moments_file)
     if family == "gamma":
         return gamma_sequence()

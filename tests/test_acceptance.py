@@ -28,7 +28,7 @@ import pytest
 
 from hankel_approx import driver, hankel
 from hankel_approx._bareiss_py import bareiss_det
-from hankel_approx.driver import RunConfig, run_convergence
+from hankel_approx.driver import run_convergence
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
 from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
@@ -95,7 +95,7 @@ def ortho_sweeps(sequences):
 def assert_decimal_close(value: Fraction, printed: str, digits: int):
     # Within one unit in the last printed digit.
     scale = 10 ** digits
-    got = rat_to_decimal(value, digits).as_fraction() * scale
+    got = parse_decimal(rat_to_decimal(value, digits)) * scale
     want = parse_decimal(printed) * scale
     assert got.denominator == 1 and want.denominator == 1
     assert abs(got - want) <= 1, f"{value} renders as {got / scale}, printed {printed}"
@@ -220,7 +220,7 @@ def test_default_walk_makes_no_exact_determinant_call(det_sweeps, monkeypatch):
     monkeypatch.setattr(hankel, "det_rational", lambda rows: det_calls.append(1) or det(rows))
     for family, (name, k, top) in FAMILIES.items():
         top = 48 if family == "gompertz" else top
-        records = run_convergence(RunConfig(family=name, k=k, n_max=top))
+        records = run_convergence(family=name, k=k, n_max=top)
         assert [r.n for r in records] == list(range(top + 1)), family
         assert [(r.P, r.Q) for r in records[:len(det_sweeps[family])]] == det_sweeps[family]
     assert (sweep_rows, det_calls) == ([], [])

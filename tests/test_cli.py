@@ -124,6 +124,20 @@ def test_approx_malformed_moments_file(runner, tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("command", [
+    ["approx", "--n-max", "1"],
+    ["validate", "--n-max", "1"],
+    ["moments", "--count", "1"],
+])
+def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    res = runner.invoke(main, command + ["--family", "custom", "--moments-file", str(path)])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == "error: moment file is not UTF-8 text: invalid start byte at byte 0\n"
+
+
 def test_approx_short_custom_sequence(runner, write_moments_file):
     # n_max = 2 needs six moments; four cover n = 0 and 1, then it is an input error.
     path = write_moments_file("short", ["1", "2", "5", "16"])

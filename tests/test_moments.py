@@ -119,6 +119,8 @@ def test_builtin_sequence_dispatch(write_moments_file):
     assert (custom.name, custom.moments(2)) == ("mine", [1, Fraction(7, 2)])
     with pytest.raises(ValueError):
         family_sequence("zeta")
+    with pytest.raises(ValueError, match="custom family requires a moments file"):
+        family_sequence("custom")
     with pytest.raises(ValueError):
         family_sequence("fibonacci")
     with pytest.raises(ValueError):
