@@ -11,16 +11,7 @@ import sys
 
 import click
 
-from .driver import (
-    EXIT_IO,
-    EXIT_POSITIVITY,
-    EXIT_VALIDATION,
-    FORMATS,
-    METHODS,
-    cross_validate,
-    emit,
-    run_convergence,
-)
+from .driver import FORMATS, METHODS, cross_validate, emit, run_convergence
 from .errors import (
     EngineMismatch,
     IndexOutOfRange,
@@ -32,11 +23,20 @@ from .errors import (
 from .exactnum import DEFAULT_DIGITS, format_rational
 from .moments import FAMILIES, family_sequence
 
+EXIT_VALIDATION = 2
+EXIT_POSITIVITY = 3
+EXIT_IO = 4
+
 # CLI-only guard: (i+1)^k growth makes huge k useless interactively.
 MAX_CLI_K = 64
+# One str() of the decimal column's integer takes time quadratic in its
+# digits in CPython, so larger requests are refused before any work starts.
+MAX_DIGITS = 100_000
 
 
 def family_options(fn):
+    fn = click.option("--moments-file", type=click.Path(), default=None,
+                      help="Moment file for --family custom.")(fn)
     fn = click.option("--family", type=click.Choice(FAMILIES), required=True,
                       help="Moment family; custom reads --moments-file.")(fn)
     fn = click.option("--k", type=int, default=None,
@@ -44,7 +44,7 @@ def family_options(fn):
     return fn
 
 
-def _check_family_args(family, k, moments_file=None):
+def _check_family_args(family, k, moments_file):
     if family == "zeta":
         if k is None:
             raise click.UsageError("--family zeta requires --k")
@@ -54,6 +54,14 @@ def _check_family_args(family, k, moments_file=None):
         raise click.UsageError("--k only applies to --family zeta")
     if family == "custom" and not moments_file:
         raise click.UsageError("--family custom requires --moments-file")
+
+
+def _exit_short_file(exc: IndexOutOfRange):
+    """Report a moment file too short for --n-max, naming the largest n it supports."""
+    top = (exc.available - 2) // 2  # n needs a_1 .. a_{2n+2}
+    supported = f"n <= {top}" if top >= 0 else "no n"
+    click.echo(f"error: {exc}; the moment file supports {supported}", err=True)
+    sys.exit(EXIT_IO)
 
 
 @click.group()
@@ -67,15 +75,13 @@ def main():
               help="Highest approximant index to compute.")
 @click.option("--method", type=click.Choice(METHODS), default=None,
               help="Engine; defaults to both for built-ins, ortho for custom.")
-@click.option("--digits", type=click.IntRange(min=1), default=DEFAULT_DIGITS,
-              show_default=True,
+@click.option("--digits", type=click.IntRange(min=1, max=MAX_DIGITS),
+              default=DEFAULT_DIGITS, show_default=True,
               help="Fractional digits in the decimal column.")
 @click.option("--format", "fmt", type=click.Choice(FORMATS),
               default="table", show_default=True)
 @click.option("--exact", is_flag=True,
               help="Print full rationals in table format, however large.")
-@click.option("--moments-file", type=click.Path(), default=None,
-              help="Moment file for --family custom.")
 @click.option("--out", type=click.Path(), default=None,
               help="Also write the rendered output to this path.")
 def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
@@ -89,10 +95,7 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     except IndexOutOfRange as exc:
         if exc.records:
             click.echo(emit(exc.records, fmt, digits, exact))
-        top = (exc.available - 2) // 2  # n needs a_1 .. a_{2n+2}
-        supported = f"n <= {top}" if top >= 0 else "no n"
-        click.echo(f"error: {exc}; the moment file supports {supported}", err=True)
-        sys.exit(EXIT_IO)
+        _exit_short_file(exc)
     except (PositivityViolation, NonPositiveQ) as exc:
         if exc.records:
             click.echo(emit(exc.records, fmt, digits, exact))
@@ -114,8 +117,6 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
               help="How many moments a_1 .. a_count to emit.")
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")),
               default="json", show_default=True)
-@click.option("--moments-file", type=click.Path(), default=None,
-              help="Moment file for --family custom.")
 def moments(family, k, count, fmt, moments_file):
     """Print the first COUNT moments of a family.
 
@@ -145,16 +146,16 @@ def moments(family, k, count, fmt, moments_file):
 @family_options
 @click.option("--n-max", type=click.IntRange(min=0), required=True,
               help="Highest index to validate.")
-@click.option("--moments-file", type=click.Path(), default=None,
-              help="Moment file for --family custom.")
 def validate(family, k, n_max, moments_file):
     """Cross-check the determinant and recurrence engines."""
     _check_family_args(family, k, moments_file)
     try:
         report = cross_validate(family, n_max, k=k, moments_file=moments_file)
-    except (ParseError, IndexOutOfRange, OSError) as exc:
+    except (ParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
+    except IndexOutOfRange as exc:
+        _exit_short_file(exc)
     except OrthogonalityLost as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)

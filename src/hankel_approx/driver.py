@@ -45,11 +45,6 @@ from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import family_sequence
 from .orthopoly import ortho_states
 
-# Process exit codes used by the CLI.
-EXIT_VALIDATION = 2
-EXIT_POSITIVITY = 3
-EXIT_IO = 4
-
 ELIDE_THRESHOLD = 40  # table cells longer than this print as "-" unless exact
 
 METHODS = ("det", "ortho", "both")

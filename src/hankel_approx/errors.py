@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ZeroDenominator(ValueError):
-    """A rational was constructed or parsed with denominator zero."""
-
-
 class ParseError(ValueError):
     """Malformed input text (rational grammar, decimal grammar, moment file)."""
 
@@ -16,6 +12,10 @@ class ParseError(ValueError):
                 f", column {column})" if column is not None else ")"
             )
         super().__init__(message)
+
+
+class ZeroDenominator(ParseError):
+    """A rational was parsed with denominator zero."""
 
 
 class IndexOutOfRange(IndexError):

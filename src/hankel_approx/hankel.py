@@ -22,10 +22,9 @@ elimination.
 The divisor H^(k+2)_{m-1} can be zero for a custom sequence (the odd
 moments of a symmetric measure vanish, for one). From the step that meets
 one on, the sweep computes each index with ``hankel_P``/``hankel_Q``,
-which evaluate one matrix each: every row is scaled by the lcm of its
-entry denominators, the integer matrix goes through fraction-free Bareiss
-elimination, and the scale factor is divided back out. Matrices are plain
-lists of rows.
+which evaluate one matrix each with ``det_rational``: fraction-free
+elimination of the matrix with its rows scaled to integers. Matrices are
+plain lists of rows.
 
 ``hankel_residues`` runs the same table on the moments reduced mod a prime
 p, dividing by modular inverses, and yields (P_n mod p, Q_n mod p). Its
@@ -41,54 +40,70 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from ._bareiss_py import bareiss_det
 from .errors import NonPositiveQ
 from .moments import MomentSequence
 
 
-def build_P_matrix(seq: MomentSequence, n: int) -> list[list[Fraction]]:
-    """(n+2)x(n+2) rows with entry [i][j] = a_{i+j}, where a_0 = 0."""
+def _hankel_matrix(seq: MomentSequence, n: int, shift: int) -> list[list[Fraction]]:
+    """Rows of the Hankel matrix (a_{shift+i+j})_{i,j<order}, with a_0 = 0,
+    whose last entry is a_{2n+2}: P_n's from shift 0 (order n+2), Q_n's
+    from shift 2 (order n+1)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     a = [Fraction(0)] + seq.moments(2 * n + 2)
-    return [a[i:i + n + 2] for i in range(n + 2)]
-
-
-def build_Q_matrix(seq: MomentSequence, n: int) -> list[list[Fraction]]:
-    """(n+1)x(n+1) rows with entry [i][j] = a_{i+j+2}."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    a = [Fraction(0)] + seq.moments(2 * n + 2)
-    return [a[i + 2:i + n + 3] for i in range(n + 1)]
+    order = n + 2 - shift // 2
+    return [a[shift + i:shift + i + order] for i in range(order)]
 
 
 def det_rational(rows) -> Fraction:
     """Exact determinant of a square rational matrix given as rows.
 
-    Scales row i by the lcm L_i of its entry denominators, runs the integer
-    kernel, and divides the product of the L_i back out.
+    Row i is scaled by the lcm L_i of its entry denominators into an
+    integer copy, which one-step fraction-free elimination (Bareiss 1968)
+    reduces: after column k every entry is an exact (k+1)-minor, so the
+    division by the previous pivot is exact and entries grow only
+    polynomially. A zero pivot is swapped with the first row below that is
+    nonzero in its column (the arithmetic is exact, so magnitudes do not
+    matter); if there is none, the determinant is 0. The product of the L_i
+    is divided back out.
     """
     scale = 1
-    scaled = []
+    m = []
     for row in rows:
-        L = 1
-        for e in row:
-            L = lcm(L, e.denominator)
+        L = lcm(*(e.denominator for e in row))
         scale *= L
-        scaled.append([int(e * L) for e in row])
-    return Fraction(bareiss_det(scaled), scale)
+        m.append([int(e * L) for e in row])
+    size = len(m)
+    sign = prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, size):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        rk = m[k]
+        pivot = rk[k]
+        for ri in m[k + 1:]:
+            head = ri[k]
+            for j in range(k + 1, size):
+                ri[j] = (pivot * ri[j] - head * rk[j]) // prev
+        prev = pivot
+    return Fraction(sign * m[-1][-1], scale) if m else Fraction(1)
 
 
 def hankel_P(seq: MomentSequence, n: int) -> Fraction:
     """P_n = -det(a_{i+j}), i,j = 0..n+1."""
     # Entry (0,0) is always a_0 = 0, so elimination starts with a row swap;
-    # this is the kernel's routine path, not an edge case.
-    return -det_rational(build_P_matrix(seq, n))
+    # this is the routine path, not an edge case.
+    return -det_rational(_hankel_matrix(seq, n, 0))
 
 
 def hankel_Q(seq: MomentSequence, n: int) -> Fraction:
     """Q_n = det(a_{i+j+2}), i,j = 0..n; raises NonPositiveQ unless Q_n > 0."""
-    value = det_rational(build_Q_matrix(seq, n))
+    value = det_rational(_hankel_matrix(seq, n, 2))
     if value <= 0:
         raise NonPositiveQ(n, value)
     return value

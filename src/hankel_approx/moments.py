@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
-from .errors import IndexOutOfRange, ParseError, ZeroDenominator
+from .errors import IndexOutOfRange, ParseError
 from .exactnum import parse_decimal, parse_rational
 
 FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")
@@ -45,7 +45,6 @@ REFERENCE_DECIMALS = {
 class ReferenceConstant:
     """A target constant L(e_0), kept as its published decimal string."""
 
-    name: str
     decimal: str
 
     def as_fraction(self) -> Fraction:
@@ -109,7 +108,7 @@ class MomentSequence:
         self._values = list(values) if values is not None else None
         self._cache: list[Fraction] = []
         self.reference = (
-            ReferenceConstant(name, reference) if reference is not None else None
+            ReferenceConstant(reference) if reference is not None else None
         )
 
     def moment(self, n: int) -> Fraction:
@@ -203,7 +202,7 @@ def load_moments(path) -> MomentSequence:
             raise ParseError(f"moment a_{idx} must be a rational string, got {entry!r}")
         try:
             values.append(parse_rational(entry))
-        except (ParseError, ZeroDenominator) as exc:
+        except ParseError as exc:
             line, column = _position_of(raw, entry)
             raise ParseError(f"moment a_{idx}: {exc}", line=line, column=column) from exc
     reference = doc.get("reference")

@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the package's own elimination and
 summation code: the determinant oracles are plain cofactor expansion and
-the arrow-matrix closed form, the moment oracles are numerical quadrature,
-and the factorial family's approximants are checked against harmonic
-numbers, so agreement is evidence rather than tautology. The recurrence's
+the arrow-matrix closed form, and the Hankel matrices they expand are
+built here too; the moment oracles are numerical quadrature, and the
+factorial family's approximants are checked against harmonic numbers, so
+agreement is evidence rather than tautology. The recurrence's
 polynomials are rebuilt from its coefficients and paired by the defining
 double sum, so its orthogonality is checked outside the moment table.
 ``records_from_json`` reads ``emit``'s JSON output back for round-trip
@@ -21,6 +22,12 @@ from scipy.integrate import quad
 
 from hankel_approx.driver import ApproximantRecord
 from hankel_approx.exactnum import parse_rational
+
+
+def hankel_matrix(seq, shift: int, order: int) -> list[list[Fraction]]:
+    """(a_{shift+i+j})_{i,j<order} as rows, with a_0 = 0."""
+    return [[seq.moment(shift + i + j) if shift + i + j else Fraction(0)
+             for j in range(order)] for i in range(order)]
 
 
 def cofactor_det(rows: list[list]) -> Fraction:

@@ -4,11 +4,12 @@ Eleven checks, one test function each, so a verbose pytest run reports one
 pass/fail line per check. The first four compare against the frozen
 known-good tables in golden_values.py; the rest assert the structural
 guarantees the construction promises (engine equivalence, positivity,
-monotonicity, orthogonality), calibrate both elimination routes against
-an independent cofactor oracle, check the condensation sweep against
-per-n elimination, guard that the sweep never falls back to elimination
-on a built-in family, and that ``approx``'s default walk computes no
-exact determinant at all.
+monotonicity, orthogonality), check both determinant routes, the
+condensation sweep and the elimination ``det_rational``, against cofactor
+expansion of Hankel matrices built by the test oracles, check the sweep
+against per-n elimination over every family's range, guard that the
+sweep never falls back to elimination on a built-in family, and that
+``approx``'s default walk computes no exact determinant at all.
 
 The sweeps are module-scoped: each family's determinant sweep and
 recurrence run happen once and every check reads from the shared results.
@@ -20,17 +21,15 @@ against and 4 s for the default walks.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import prod
 
 import pytest
 
 from hankel_approx import driver, hankel
-from hankel_approx._bareiss_py import bareiss_det
 from hankel_approx.driver import run_convergence
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
-from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
+from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
 from hankel_approx.orthopoly import ortho_states
 
@@ -41,7 +40,7 @@ from .golden_values import (
     ZETA2_ROWS,
     ZETA3_ROWS,
 )
-from .oracles import arrow_det, cofactor_det, harmonic, inner_product, polynomials
+from .oracles import cofactor_det, hankel_matrix, harmonic, inner_product, polynomials
 
 # family -> (builtin name, k, sweep range)
 FAMILIES = {
@@ -167,22 +166,13 @@ def test_structural_guarantees(det_sweeps, sequences):
         assert all(v < ref for v in values), family
 
 
-def test_determinant_routes_match_cofactor_oracle():
-    rng = random.Random(1272026)
-    for _ in range(500):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert bareiss_det([r[:] for r in rows]) == cofactor_det(rows)
-
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            rows[0][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        for i in range(1, n):
-            rows[i][0] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            rows[i][i] = Fraction(rng.choice([x for x in range(-9, 10) if x]))
-        assert arrow_det(rows) == det_rational(rows)
+def test_determinant_routes_match_cofactor_oracle(det_sweeps, sequences):
+    for family, seq in sequences.items():
+        for n in range(5):
+            oracle = (-cofactor_det(hankel_matrix(seq, 0, n + 2)),
+                      cofactor_det(hankel_matrix(seq, 2, n + 1)))
+            assert det_sweeps[family][n] == oracle, f"{family} n={n}"
+            assert (hankel_P(seq, n), hankel_Q(seq, n)) == oracle, f"{family} n={n}"
 
 
 def test_sweep_matches_per_index_elimination(det_sweeps, sequences):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from hankel_approx.cli import main
+import hankel_approx
+from hankel_approx.cli import MAX_DIGITS, main
 from hankel_approx.driver import CHECK_PRIME
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import load_moments
@@ -34,6 +39,12 @@ def test_approx_digits_option(runner):
         main, ["approx", "--family", "gompertz", "--n-max", "1", "--digits", "3"])
     assert res.exit_code == 0
     assert res.output.splitlines() == ["0 | 1/2 | 0.500", "1 | 4/7 | 0.571"]
+    # Above the ceiling the request is refused before any work starts.
+    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "0",
+                               "--digits", str(MAX_DIGITS + 1)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"is not in the range 1<=x<={MAX_DIGITS}" in res.stderr
 
 
 def test_approx_csv(runner):
@@ -149,15 +160,24 @@ def test_approx_short_custom_sequence(runner, write_moments_file):
     assert res.stdout.splitlines() == ["0 | 1/2 | 0.5000000000", "1 | 4/7 | 0.5714285714"]
     assert "out of range" in res.stderr
     assert "supports n <= 1" in res.stderr
-
-    one = write_moments_file("one", ["1"], filename="one.json")
     res = runner.invoke(
         main,
-        ["approx", "--family", "custom", "--moments-file", str(one), "--n-max", "0"],
+        ["validate", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
     )
     assert res.exit_code == 4
     assert res.stdout == ""
-    assert "supports no n" in res.stderr
+    assert res.stderr == ("error: moment index 5 out of range: only 4 moments available; "
+                          "the moment file supports n <= 1\n")
+
+    one = write_moments_file("one", ["1"], filename="one.json")
+    for command in ("approx", "validate"):
+        res = runner.invoke(
+            main,
+            [command, "--family", "custom", "--moments-file", str(one), "--n-max", "0"],
+        )
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert "supports no n" in res.stderr
 
 
 def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
@@ -338,3 +358,17 @@ def test_help_screens(runner):
         res = runner.invoke(main, [sub, "--help"])
         assert res.exit_code == 0
         assert "--family" in res.output
+        assert "--moments-file" in res.output
+    assert f"1<=x<={MAX_DIGITS}" in runner.invoke(main, ["approx", "--help"]).output
+
+
+def test_cli_import_loads_every_package_module():
+    # A module that the command line never imports is used only by tests,
+    # and such code belongs under tests/.
+    package = Path(hankel_approx.__file__).parent
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, hankel_approx.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+        capture_output=True, text=True, check=True).stdout.split()
+    modules = {f"hankel_approx.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"}
+    assert modules <= set(loaded)

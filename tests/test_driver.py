@@ -169,7 +169,7 @@ def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
 
 def test_compare_reference():
     records = run_convergence(family="gompertz", n_max=2)
-    ref = ReferenceConstant("gompertz", "0.5963473623")
+    ref = ReferenceConstant("0.5963473623")
     for r in records:
         assert r.gap == ref.as_fraction() - r.value
 

@@ -7,36 +7,33 @@ import pytest
 from click.testing import CliRunner
 
 from hankel_approx import hankel
-from hankel_approx._bareiss_py import bareiss_det
 from hankel_approx.cli import main
 from hankel_approx.errors import NonPositiveQ
-from hankel_approx.hankel import (
-    build_P_matrix,
-    build_Q_matrix,
-    det_rational,
-    hankel_P,
-    hankel_Q,
-    hankel_sweep,
-)
+from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import custom_sequence
 
-from .oracles import ArrowShapeViolation, ZeroDiagonal, arrow_det, cofactor_det
+from .oracles import (
+    ArrowShapeViolation,
+    ZeroDiagonal,
+    arrow_det,
+    cofactor_det,
+    hankel_matrix,
+)
 
 
 def test_build_matrices(gompertz_seq):
-    P = build_P_matrix(gompertz_seq, 1)
-    assert P[0][0] == 0  # a_0 enters as 0 by construction
-    assert P == [[0, 1, 2], [1, 2, 5], [2, 5, 16]]
-    Q = build_Q_matrix(gompertz_seq, 1)
-    assert Q == [[2, 5], [5, 16]]
+    # a_0 enters as 0 by construction.
+    P, Q = [[0, 1, 2], [1, 2, 5], [2, 5, 16]], [[2, 5], [5, 16]]
+    assert hankel._hankel_matrix(gompertz_seq, 1, 0) == hankel_matrix(gompertz_seq, 0, 3) == P
+    assert hankel._hankel_matrix(gompertz_seq, 1, 2) == hankel_matrix(gompertz_seq, 2, 2) == Q
     with pytest.raises(ValueError):
-        build_P_matrix(gompertz_seq, -1)
+        hankel_P(gompertz_seq, -1)
     with pytest.raises(ValueError):
-        build_Q_matrix(gompertz_seq, -1)
+        hankel_Q(gompertz_seq, -1)
 
 
 def test_hankel_entries_depend_on_index_sum(gamma_seq):
-    M = build_P_matrix(gamma_seq, 2)
+    M = hankel._hankel_matrix(gamma_seq, 2, 0)
     order = len(M)
     for i in range(order):
         for j in range(order):
@@ -45,11 +42,26 @@ def test_hankel_entries_depend_on_index_sum(gamma_seq):
                 assert M[i][j] == M[i + 1][j - 1]
 
 
+# The elimination's tests: every case goes through det_rational and is
+# checked against cofactor expansion or the arrow-matrix closed form.
+
 def test_det_fraction_free_known_values():
-    assert bareiss_det([[5]]) == 5
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[2, 0, 1], [1, 3, 2], [1, 1, 4]]) == 18
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    cases = [
+        ([], 1),
+        ([[5]], 5),
+        ([[7]], 7),
+        ([[1, 2], [3, 4]], -2),
+        ([[0, 1], [1, 0]], -1),
+        ([[1, 2], [2, 4]], 0),
+        ([[0, 0], [0, 0]], 0),
+        ([[2, 0, 1], [1, 3, 2], [1, 1, 4]], 18),
+        # Every leading entry zero forces a pivot search at each step.
+        ([[0, 0, 1], [0, 2, 3], [4, 5, 6]], -8),
+    ]
+    for rows, det in cases:
+        before = [row[:] for row in rows]
+        assert det_rational(rows) == cofactor_det(rows) == det, rows
+        assert rows == before  # the input is left as it was
 
 
 def test_det_permutation_matrices():
@@ -60,15 +72,15 @@ def test_det_permutation_matrices():
         perm = list(range(n))
         rng.shuffle(perm)
         rows = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
-        assert bareiss_det([r[:] for r in rows]) == cofactor_det(rows)
+        assert det_rational(rows) == cofactor_det(rows)
 
 
 def test_det_random_integer_matrices_match_cofactor():
-    rng = random.Random(987123)
-    for _ in range(150):
+    rng = random.Random(1272026)
+    for _ in range(500):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert bareiss_det([r[:] for r in rows]) == cofactor_det(rows)
+        assert det_rational(rows) == cofactor_det(rows)
 
 
 def test_det_rational_matches_cofactor():
@@ -95,7 +107,7 @@ def test_hankel_P_and_Q_small(gompertz_seq):
 
 def test_hankel_P_matches_cofactor(zeta2_seq):
     for n in range(4):
-        assert hankel_P(zeta2_seq, n) == -cofactor_det(build_P_matrix(zeta2_seq, n))
+        assert hankel_P(zeta2_seq, n) == -cofactor_det(hankel_matrix(zeta2_seq, 0, n + 2))
 
 
 def test_hankel_Q_rejects_nonpositive():
@@ -156,7 +168,7 @@ def test_arrow_det_matches_general_route():
 
 def test_arrow_det_random_sweep():
     rng = random.Random(192837)
-    for _ in range(60):
+    for _ in range(200):
         n = rng.randint(1, 6)
         rows = [[Fraction(0)] * n for _ in range(n)]
         for j in range(n):

@@ -134,7 +134,7 @@ def test_references():
     assert zeta_sequence(3).reference.decimal == "1.202056903"
     assert zeta_sequence(4).reference is None
     assert factorial_sequence().reference is None
-    ref = ReferenceConstant("half", "0.5000")
+    ref = ReferenceConstant("0.5000")
     assert ref.as_fraction() == Fraction(1, 2)
 
 
