@@ -89,6 +89,7 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     _check_family_args(family, k, moments_file)
     try:
         records = run_convergence(family, n_max, k, method, moments_file)
+        click.echo(emit(records, fmt, digits, exact, out))
     except (ParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
@@ -104,11 +105,6 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     except (EngineMismatch, OrthogonalityLost) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    try:
-        click.echo(emit(records, fmt, digits, exact, out))
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
 
 
 @main.command()
@@ -150,7 +146,7 @@ def validate(family, k, n_max, moments_file):
     """Cross-check the determinant and recurrence engines."""
     _check_family_args(family, k, moments_file)
     try:
-        report = cross_validate(family, n_max, k=k, moments_file=moments_file)
+        checks = cross_validate(family, n_max, k=k, moments_file=moments_file)
     except (ParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
@@ -159,12 +155,12 @@ def validate(family, k, n_max, moments_file):
     except OrthogonalityLost as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        click.echo(f"{status} {check.name}: {check.detail}")
-    if report.violation is not None:
+    for name, passed, detail in checks:
+        click.echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    failed = [name for name, passed, _ in checks if not passed]
+    if failed == ["positive-definite"]:
         sys.exit(EXIT_POSITIVITY)
-    if not report.passed:
+    if failed:
         sys.exit(EXIT_VALIDATION)
 
 

@@ -16,8 +16,9 @@ both differences to the true pair. A row the residues cannot form (a
 divisor or moment denominator that the prime divides) and every later one
 are compared exactly.
 
-``run_convergence`` (``approx``) and ``cross_validate`` (``validate``)
-take the CLI's arguments as plain parameters. Each input rule is checked
+``run_convergence`` (``approx``) returns the records and ``cross_validate``
+(``validate``) the check lines, as (name, passed, detail) tuples. Both take
+the CLI's arguments as plain parameters, and each input rule is checked
 once: ``family_sequence`` checks the family arguments (zeta needs k >= 2,
 custom a moments file), and ``_walk`` checks n_max >= 0 and the method.
 
@@ -29,7 +30,7 @@ failure so callers can still report partial progress.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -211,32 +212,16 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
 # ---------------------------------------------------------------------------
 # cross-validation
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)
-    violation: PositivityViolation | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.violation is None and all(c.passed for c in self.checks)
-
-
 def cross_validate(family: str, n_max: int, k: int | None = None,
-                   moments_file: str | None = None) -> ValidationReport:
-    """Run both engines in lock step and report the structural identities.
+                   moments_file: str | None = None) -> list[tuple[str, bool, str]]:
+    """Run both engines in lock step; return the check lines in print order
+    as (name, passed, detail) tuples.
 
     The walk enforces engine agreement, Q_n equal to the product of squared
     norms and Q_n > 0 (one comparison of the two (P_n, Q_n) pairs per n).
-    A failure of those, or of positive definiteness, is reported, not
-    raised, and ends the report. Monotonicity and the bound below the
-    reference decimal are then read off the records. The reference counts
+    A failure of those, or of positive definiteness, is not raised: it is
+    the one check returned. Otherwise monotonicity and the bound below the
+    reference decimal are read off the records. The reference counts
     as correct to within one unit of its last digit, so the bound fails only
     at an approximant >= ref + 10**-d (d fractional digits); one in
     [ref, ref + 10**-d) passes, and the detail names the first such n. A
@@ -244,33 +229,22 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     OrthogonalityLost (the recurrence checks this at every step).
     """
     seq = family_sequence(family, k, moments_file)
-    report = ValidationReport()
-
     try:
         records = _walk(seq, n_max, "both", exact=True)
     except PositivityViolation as exc:
-        report.violation = exc
-        report.checks.append(CheckResult(
-            "positive-definite", False,
-            f"squared norm fails at degree {exc.index}; positive through {exc.index - 1}",
-        ))
-        return report
+        return [("positive-definite", False,
+                 f"squared norm fails at degree {exc.index}; positive through {exc.index - 1}")]
     except NonPositiveQ as exc:
-        report.checks.append(CheckResult(
-            "positive-Q", False, f"Q_{exc.n} = {exc.value} is not positive"))
-        return report
+        return [("positive-Q", False, f"Q_{exc.n} = {exc.value} is not positive")]
     except EngineMismatch as exc:
-        report.checks.append(CheckResult(
-            "engine-agreement", False, f"paths disagree first at n = {exc.n}"))
-        return report
+        return [("engine-agreement", False, f"paths disagree first at n = {exc.n}")]
 
     monotone = all(a.value <= b.value for a, b in zip(records, records[1:]))
-    for name, passed, detail in (
-            ("engine-agreement", True, "determinant and recurrence paths equal"),
-            ("norm-factorization", True, "Q_n equals the product of squared norms"),
-            ("positive-Q", True, "Q_n > 0"),
-            ("monotone", monotone, "approximants nondecreasing")):
-        report.checks.append(CheckResult(name, passed, f"{detail} for n <= {n_max}"))
+    checks = [(name, passed, f"{detail} for n <= {n_max}") for name, passed, detail in (
+        ("engine-agreement", True, "determinant and recurrence paths equal"),
+        ("norm-factorization", True, "Q_n equals the product of squared norms"),
+        ("positive-Q", True, "Q_n > 0"),
+        ("monotone", monotone, "approximants nondecreasing"))]
 
     if seq.reference is not None:
         stored = seq.reference.decimal
@@ -284,6 +258,5 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
             detail = (f"every approximant is strictly below {rat_to_decimal(upper, digits)}, "
                       f"one unit above {stored} in its last digit; the first at or above "
                       f"{stored} is n = {reached}")
-        report.checks.append(CheckResult("reference-bound", below, detail))
-
-    return report
+        checks.append(("reference-bound", below, detail))
+    return checks

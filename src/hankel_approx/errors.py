@@ -14,10 +14,6 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class ZeroDenominator(ParseError):
-    """A rational was parsed with denominator zero."""
-
-
 class IndexOutOfRange(IndexError):
     """A fixed moment sequence was asked for an index it does not hold.
 

@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, ZeroDenominator
+from .errors import ParseError
 
 # Determinant values and row-cleared moments reach tens of thousands of
 # digits; CPython caps int<->str conversion at 4300 digits by default.
@@ -30,15 +30,25 @@ _RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z")
 _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
 
 
+def _to_int(digits: str) -> int:
+    # Only the int/str digit limit can fail on a digit string; too long to echo.
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the rational text grammar ("9/41", "-3", "0")."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational: {text!r}")
     sign, num, den = m.groups()
-    if den is not None and int(den) == 0:
-        raise ZeroDenominator(f"zero denominator in {text!r}")
-    value = Fraction(int(num), int(den) if den is not None else 1)
+    den = _to_int(den) if den is not None else 1
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    value = Fraction(_to_int(num), den)
     return -value if sign else value
 
 
@@ -53,7 +63,7 @@ def parse_decimal(text: str) -> Fraction:
     if m is None:
         raise ParseError(f"not a fixed-point decimal: {text!r}")
     sign, ipart, fpart = m.groups()
-    value = Fraction(int(ipart + fpart), 10 ** len(fpart))
+    value = Fraction(_to_int(ipart + fpart), 10 ** len(fpart))
     return -value if sign else value
 
 

@@ -151,10 +151,6 @@ def factorial_sequence() -> MomentSequence:
     return MomentSequence("factorial", fn=factorial_moment)
 
 
-def custom_sequence(name: str, values, reference: str | None = None) -> MomentSequence:
-    return MomentSequence(name, values=values, reference=reference)
-
-
 def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:
     # Best-effort line/column of a quoted token in the source text.
     at = raw.find(f'"{token}"')
@@ -174,9 +170,10 @@ def load_moments(path) -> MomentSequence:
 
     ``a`` lists a_1 first (a_0 must not appear) using the rational text
     grammar; ``reference`` is an optional decimal string for the target
-    constant. Malformed entries raise ParseError pointing at the offending
-    token, and so does a file that is not UTF-8 text; accessing a moment
-    past the end of ``a`` raises IndexOutOfRange.
+    constant. Malformed entries (also one past the int/str digit limit)
+    raise ParseError pointing at the offending token, and so does a file
+    that is not UTF-8 text or nests too deeply for the JSON parser;
+    accessing a moment past the end of ``a`` raises IndexOutOfRange.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -188,6 +185,8 @@ def load_moments(path) -> MomentSequence:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid moment file: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid moment file: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("moment file must hold a JSON object")
     name = doc.get("name")
@@ -214,7 +213,7 @@ def load_moments(path) -> MomentSequence:
         except ParseError as exc:
             line, column = _position_of(raw, reference)
             raise ParseError(f"reference: {exc}", line=line, column=column) from exc
-    return custom_sequence(name, values, reference)
+    return MomentSequence(name, values=values, reference=reference)
 
 
 def family_sequence(family: str, k: int | None = None,

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import hankel_approx
+from hankel_approx import hankel
 from hankel_approx.cli import MAX_DIGITS, main
 from hankel_approx.driver import CHECK_PRIME
 from hankel_approx.hankel import hankel_residues
@@ -147,6 +148,30 @@ def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == "error: moment file is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["approx", "--n-max", "1"],
+    ["validate", "--n-max", "1"],
+    ["moments", "--count", "1"],
+])
+@pytest.mark.parametrize("text, stderr", [
+    ('{"name": "x", "a": ' + "[" * 1001 + "]" * 1001 + "}",
+     "error: invalid moment file: nested too deeply\n"),
+    ('{"name": "x", "a": ["' + "1" * 2_000_001 + '"]}',
+     "error: moment a_1: number has more than 2000000 digits (line 1, column 21)\n"),
+    ('{"name": "x", "a": ["1"], "reference": "0.' + "1" * 2_000_000 + '"}',
+     "error: reference: number has more than 2000000 digits (line 1, column 40)\n"),
+], ids=["nested", "long-moment", "long-reference"])
+def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, stderr):
+    # Too deep for the JSON parser, or more digits than the int/str limit
+    # that importing the package sets: one error line, no traceback.
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    res = runner.invoke(main, command + ["--family", "custom", "--moments-file", str(path)])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == stderr
 
 
 def test_approx_short_custom_sequence(runner, write_moments_file):
@@ -335,7 +360,24 @@ def test_validate_reports_violation(runner, write_moments_file):
         ["validate", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
     )
     assert res.exit_code == 3
-    assert "FAIL positive-definite" in res.output
+    assert res.stdout == "FAIL positive-definite: squared norm fails at degree 1; positive through 0\n"
+    assert res.stderr == ""
+
+
+def test_validate_reports_nonpositive_Q(runner, monkeypatch):
+    # Only a wrong exact table can reach Q_n <= 0 before the recurrence's
+    # own positivity check; validate then exits 2, where approx exits 3.
+    condense = hankel._condense
+
+    def negated_Q_1(moment, divide, n_max):
+        for n, (P, Q) in enumerate(condense(moment, divide, n_max)):
+            yield (P, -Q) if n == 1 else (P, Q)
+
+    monkeypatch.setattr(hankel, "_condense", negated_Q_1)
+    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+    assert res.exit_code == 2
+    assert res.stdout == "FAIL positive-Q: Q_1 = -7 is not positive\n"
+    assert res.stderr == ""
 
 
 def test_validate_reports_lost_orthogonality(runner, skewed_alpha_1):

@@ -134,8 +134,8 @@ def test_cross_validate_detects_engine_mismatch_exactly(monkeypatch, skew_sweep)
             raise
 
     monkeypatch.setattr(driver, "_walk", spy)
-    report = cross_validate("gompertz", 2)
-    assert [(c.name, c.passed) for c in report.checks] == [("engine-agreement", False)]
+    checks = cross_validate("gompertz", 2)
+    assert checks == [("engine-agreement", False, "paths disagree first at n = 0")]
     [exc] = raised
     assert exc.modulus is None
     assert (exc.n, exc.records) == (0, [])
@@ -226,9 +226,9 @@ def test_emit_rejects_unknown_format():
 
 
 def test_cross_validate_builtin_passes():
-    report = cross_validate("gompertz", 5)
-    assert report.passed
-    names = [c.name for c in report.checks]
+    checks = cross_validate("gompertz", 5)
+    assert all(passed for _, passed, _ in checks)
+    names = [name for name, _, _ in checks]
     assert names == [
         "engine-agreement",
         "norm-factorization",
@@ -239,34 +239,31 @@ def test_cross_validate_builtin_passes():
 
 
 def test_cross_validate_factorial_skips_reference():
-    report = cross_validate("factorial", 5)
-    assert report.passed
-    assert all(c.name != "reference-bound" for c in report.checks)
+    checks = cross_validate("factorial", 5)
+    assert all(passed for _, passed, _ in checks)
+    assert all(name != "reference-bound" for name, _, _ in checks)
 
 
 def test_cross_validate_custom_positive_definite(write_moments_file):
     path = write_moments_file("mine", ["1", "2", "5", "16", "65", "326"])
-    report = cross_validate("custom", 1, moments_file=str(path))
-    assert report.passed
-    assert [c.name for c in report.checks] == [
+    checks = cross_validate("custom", 1, moments_file=str(path))
+    assert all(passed for _, passed, _ in checks)
+    assert [name for name, _, _ in checks] == [
         "engine-agreement", "norm-factorization", "positive-Q", "monotone"]
 
 
 def test_cross_validate_reports_violation(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
-    report = cross_validate("custom", 2, moments_file=str(path))
-    assert not report.passed
-    assert report.violation is not None
-    assert report.violation.index == 1
-    assert [c.name for c in report.checks] == ["positive-definite"]
-    assert not report.checks[0].passed
+    checks = cross_validate("custom", 2, moments_file=str(path))
+    assert checks == [("positive-definite", False,
+                       "squared norm fails at degree 1; positive through 0")]
 
 
 def test_cross_validate_passes_inside_the_last_reference_digit():
     # The stored 0.5963473623 is truncated below the Gompertz constant, and
     # A_46 .. A_48 lie between the two: the bound is undecided there, not failed.
-    report = cross_validate("gompertz", 48)
-    assert report.passed
-    bound = report.checks[-1]
-    assert bound.name == "reference-bound"
-    assert bound.detail.endswith("the first at or above 0.5963473623 is n = 46")
+    checks = cross_validate("gompertz", 48)
+    assert all(passed for _, passed, _ in checks)
+    name, _, detail = checks[-1]
+    assert name == "reference-bound"
+    assert detail.endswith("the first at or above 0.5963473623 is n = 46")

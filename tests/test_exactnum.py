@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hankel_approx
-from hankel_approx.errors import ParseError, ZeroDenominator
+from hankel_approx.errors import ParseError
 from hankel_approx.exactnum import (
     DEFAULT_DIGITS,
     format_rational,
@@ -44,8 +44,20 @@ def test_parse_rational_rejects(text):
 
 
 def test_parse_rational_zero_denominator():
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ParseError, match=r"^zero denominator in '1/0'$"):
         parse_rational("1/0")
+
+
+def test_parse_rejects_numbers_past_the_digit_limit():
+    # Importing the package sets the int/str limit to 2,000,000 digits.
+    # CPython rejects the length before converting, so this is fast; the
+    # message names the limit instead of echoing the digits.
+    for parse, text in ((parse_rational, "1" * 2_000_001),
+                        (parse_rational, "1/" + "1" * 2_000_001),
+                        (parse_decimal, "0." + "1" * 2_000_000)):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == "number has more than 2000000 digits"
 
 
 def test_format_rational():

@@ -10,7 +10,7 @@ from hankel_approx import hankel
 from hankel_approx.cli import main
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
-from hankel_approx.moments import custom_sequence
+from hankel_approx.moments import MomentSequence
 
 from .oracles import (
     ArrowShapeViolation,
@@ -111,7 +111,7 @@ def test_hankel_P_matches_cofactor(zeta2_seq):
 
 
 def test_hankel_Q_rejects_nonpositive():
-    seq = custom_sequence("flat", [Fraction(1)] * 4)
+    seq = MomentSequence("flat", values=[Fraction(1)] * 4)
     assert hankel_Q(seq, 0) == 1
     with pytest.raises(NonPositiveQ) as excinfo:
         hankel_Q(seq, 1)
@@ -128,7 +128,7 @@ SYMMETRIC = [
 
 
 def test_sweep_falls_back_to_elimination_at_zero_divisor(monkeypatch):
-    seq = custom_sequence("symmetric", SYMMETRIC)
+    seq = MomentSequence("symmetric", values=SYMMETRIC)
     assert seq.moment(3) == 0
     calls = []
     exact = hankel.det_rational

@@ -9,7 +9,6 @@ from hankel_approx.moments import (
     FAMILIES,
     MomentSequence,
     ReferenceConstant,
-    custom_sequence,
     family_sequence,
     factorial_moment,
     factorial_sequence,
@@ -98,7 +97,7 @@ def test_sequence_requires_exactly_one_source():
 
 
 def test_fixed_sequence_bounds():
-    seq = custom_sequence("mine", [Fraction(1), Fraction(2), Fraction(5)])
+    seq = MomentSequence("mine", values=[Fraction(1), Fraction(2), Fraction(5)])
     assert seq.moment(3) == 5
     with pytest.raises(IndexOutOfRange) as excinfo:
         seq.moment(4)

@@ -9,7 +9,7 @@ import pytest
 
 from hankel_approx.errors import OrthogonalityLost, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q
-from hankel_approx.moments import custom_sequence
+from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import approximant_ortho, ortho_states
 
 from .oracles import inner_product, polynomials
@@ -52,7 +52,7 @@ def test_ortho_init(gompertz_seq):
 
 
 def test_ortho_init_rejects_nonpositive_a2():
-    seq = custom_sequence("bad", [Fraction(1), Fraction(-1)])
+    seq = MomentSequence("bad", values=[Fraction(1), Fraction(-1)])
     with pytest.raises(PositivityViolation) as excinfo:
         next(ortho_states(seq, 3))
     assert excinfo.value.index == 0
@@ -102,7 +102,7 @@ def test_validated_step_rejects_lost_orthogonality(gompertz_seq, skewed_alpha_1)
 
 
 def test_positivity_violation_stops_after_yielded_states():
-    seq = custom_sequence("flat", [Fraction(1)] * 6)
+    seq = MomentSequence("flat", values=[Fraction(1)] * 6)
     states = []
     with pytest.raises(PositivityViolation) as excinfo:
         for state in ortho_states(seq, 3):

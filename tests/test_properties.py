@@ -24,7 +24,7 @@ from hankel_approx import driver
 from hankel_approx.driver import CHECK_PRIME, _walk
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_sweep
-from hankel_approx.moments import custom_sequence
+from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_states
 
 from .conftest import skew_rows
@@ -36,7 +36,7 @@ small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 def random_sequences(draw):
     n_max = draw(st.integers(0, 4))
     a = draw(st.lists(small_rationals, min_size=2 * n_max + 2, max_size=2 * n_max + 2))
-    return custom_sequence("random", a), n_max
+    return MomentSequence("random", values=a), n_max
 
 
 @st.composite
@@ -47,7 +47,7 @@ def measure_moments(draw):
     weights = [draw(magnitudes) * draw(signs) for _ in nodes]
     n_max = draw(st.integers(0, 6))
     a = [sum(w * x**j for w, x in zip(weights, nodes)) for j in range(1, 2 * n_max + 3)]
-    return custom_sequence("measure", a), n_max
+    return MomentSequence("measure", values=a), n_max
 
 
 @st.composite
@@ -61,7 +61,7 @@ def symmetric_measures(draw):
     n_max = draw(st.integers(2, 6))
     a = [sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes))
          for j in range(1, 2 * n_max + 3)]
-    return custom_sequence("symmetric", a), n_max
+    return MomentSequence("symmetric", values=a), n_max
 
 
 sequences = st.one_of(random_sequences(), measure_moments())
