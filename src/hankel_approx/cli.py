@@ -56,12 +56,16 @@ def _check_family_args(family, k, moments_file):
         raise click.UsageError("--family custom requires --moments-file")
 
 
+def _exit(message, code: int):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _exit_short_file(exc: IndexOutOfRange):
     """Report a moment file too short for --n-max, naming the largest n it supports."""
     top = (exc.available - 2) // 2  # n needs a_1 .. a_{2n+2}
     supported = f"n <= {top}" if top >= 0 else "no n"
-    click.echo(f"error: {exc}; the moment file supports {supported}", err=True)
-    sys.exit(EXIT_IO)
+    _exit(f"{exc}; the moment file supports {supported}", EXIT_IO)
 
 
 @click.group()
@@ -88,23 +92,26 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     """Compute approximants P_n/Q_n for n = 0 .. N-MAX."""
     _check_family_args(family, k, moments_file)
     try:
-        records = run_convergence(family, n_max, k, method, moments_file)
-        click.echo(emit(records, fmt, digits, exact, out))
+        records, stop = run_convergence(family, n_max, k, method, moments_file), None
     except (ParseError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except IndexOutOfRange as exc:
-        if exc.records:
-            click.echo(emit(exc.records, fmt, digits, exact))
-        _exit_short_file(exc)
-    except (PositivityViolation, NonPositiveQ) as exc:
-        if exc.records:
-            click.echo(emit(exc.records, fmt, digits, exact))
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_POSITIVITY)
+        _exit(exc, EXIT_IO)
     except (EngineMismatch, OrthogonalityLost) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        _exit(exc, EXIT_VALIDATION)
+    except (IndexOutOfRange, PositivityViolation, NonPositiveQ) as exc:
+        records, stop = exc.records, exc  # print and write the rows before the stop
+    if records:
+        text = emit(records, fmt, digits, exact)
+        if out is not None:
+            try:
+                with open(out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                _exit(exc, EXIT_IO)
+        click.echo(text)
+    if isinstance(stop, IndexOutOfRange):
+        _exit_short_file(stop)
+    if stop is not None:
+        _exit(stop, EXIT_POSITIVITY)
 
 
 @main.command()
@@ -124,8 +131,7 @@ def moments(family, k, count, fmt, moments_file):
         seq = family_sequence(family, k, moments_file)
         values = seq.moments(count)
     except (ParseError, IndexOutOfRange, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        _exit(exc, EXIT_IO)
     if fmt == "json":
         doc = {"name": seq.name, "a": [format_rational(v) for v in values]}
         if seq.reference is not None:
@@ -148,13 +154,11 @@ def validate(family, k, n_max, moments_file):
     try:
         checks = cross_validate(family, n_max, k=k, moments_file=moments_file)
     except (ParseError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        _exit(exc, EXIT_IO)
     except IndexOutOfRange as exc:
         _exit_short_file(exc)
     except OrthogonalityLost as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        _exit(exc, EXIT_VALIDATION)
     for name, passed, detail in checks:
         click.echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     failed = [name for name, passed, _ in checks if not passed]

@@ -3,7 +3,7 @@
 The driver walks n = 0 .. n_max for a moment sequence, producing one
 ApproximantRecord per index. Each route is one pass over the moments: the
 determinant sweep (``hankel_sweep``, a condensation table) and the
-recurrence (``ortho_states``, a mixed-moment table). One walk serves both
+recurrence (``ortho_sweep``, a mixed-moment table). One walk serves both
 ``approx`` and ``validate``: with ``method="both"`` the two routes advance
 in lock step, and at every index the recurrence's (A_n N_n, N_n), where
 N_n is the running product of its squared norms, must equal the
@@ -44,7 +44,7 @@ from .errors import (
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import family_sequence
-from .orthopoly import ortho_states
+from .orthopoly import ortho_sweep
 
 ELIDE_THRESHOLD = 40  # table cells longer than this print as "-" unless exact
 
@@ -65,18 +65,6 @@ class ApproximantRecord:
     value: Fraction
     gap: Fraction | None
     method: str
-
-
-def _recurrence_pairs(seq, n_max: int):
-    """Yield (A_n * N_n, N_n), N_n = t_0 ... t_n, for n = 0 .. n_max.
-
-    The recurrence's squared norms multiply to Q_n and its running sum A_n
-    is P_n/Q_n, so this pair is the determinant route's (P_n, Q_n).
-    """
-    norm = Fraction(1)
-    for state in ortho_states(seq, n_max):
-        norm *= state.t[-1]
-        yield state.partial_sum * norm, norm
 
 
 def _determinant_checks(seq, n_max: int, exact: bool):
@@ -116,9 +104,9 @@ def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
         raise ValueError(f"unknown method: {method!r}")
     ref_value = seq.reference.as_fraction() if seq.reference else None
     if method == "both":
-        rows = zip(_recurrence_pairs(seq, n_max), _determinant_checks(seq, n_max, exact))
+        rows = zip(ortho_sweep(seq, n_max), _determinant_checks(seq, n_max, exact))
     else:
-        route = hankel_sweep if method == "det" else _recurrence_pairs
+        route = hankel_sweep if method == "det" else ortho_sweep
         rows = ((pair, None) for pair in route(seq, n_max))
 
     records = []
@@ -166,8 +154,8 @@ def _table_cell(value: Fraction, exact: bool) -> str:
 
 
 def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
-         exact: bool = False, out: str | None = None) -> str:
-    """Render records as table/csv/json text; optionally also write a file.
+         exact: bool = False) -> str:
+    """Render records as table/csv/json text.
 
     ``digits`` sets the fractional digits of the decimal column (table and
     json); ``exact`` keeps long ratios in the table instead of eliding them.
@@ -202,10 +190,6 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
         text = json.dumps(rows, indent=2)
     else:
         raise ValueError(f"unknown format: {format!r}")
-
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write(text)
     return text
 
 

@@ -22,6 +22,7 @@ which the recurrence engine discovers and reports at runtime.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -161,6 +162,9 @@ def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:
     return line, column
 
 
+_JSON_TYPES = {dict: "object", list: "array", bool: "boolean", type(None): "null"}
+
+
 def load_moments(path) -> MomentSequence:
     """Load a custom moment sequence from a JSON file.
 
@@ -171,9 +175,9 @@ def load_moments(path) -> MomentSequence:
     ``a`` lists a_1 first (a_0 must not appear) using the rational text
     grammar; ``reference`` is an optional decimal string for the target
     constant. Malformed entries (also one past the int/str digit limit)
-    raise ParseError pointing at the offending token, and so does a file
-    that is not UTF-8 text or nests too deeply for the JSON parser;
-    accessing a moment past the end of ``a`` raises IndexOutOfRange.
+    raise ParseError pointing at the offending token, as does a file that is
+    not UTF-8, too deep for the JSON parser or holds a number literal past
+    that limit; a moment past the end of ``a`` raises IndexOutOfRange.
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -187,6 +191,9 @@ def load_moments(path) -> MomentSequence:
                          line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("invalid moment file: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the int/str digit limit
+        raise ParseError("invalid moment file: a number has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("moment file must hold a JSON object")
     name = doc.get("name")
@@ -197,8 +204,9 @@ def load_moments(path) -> MomentSequence:
         raise ParseError('moment file needs an array field "a" (a_1 first)')
     values = []
     for idx, entry in enumerate(entries, start=1):
-        if not isinstance(entry, str):
-            raise ParseError(f"moment a_{idx} must be a rational string, got {entry!r}")
+        if not isinstance(entry, str):  # name its JSON type: the value may be huge
+            kind = _JSON_TYPES.get(type(entry), "number")
+            raise ParseError(f"moment a_{idx} must be a rational string, got a JSON {kind}")
         try:
             values.append(parse_rational(entry))
         except ParseError as exc:

@@ -12,9 +12,9 @@ and the running sum
 
 equals the determinant ratio P_m/Q_m at every step, while the t_i
 multiply to Q_m. So with N_m = t_0 ... t_m the pair (A_m N_m, N_m) is
-(P_m, Q_m) itself, and the driver compares the two pairs whole. This is
-an independent cross-check of the determinant path that needs O(m) new
-table entries per step.
+(P_m, Q_m) itself; ``ortho_sweep`` yields it, like ``hankel_sweep``, and
+the driver compares the two pairs whole. This is an independent
+cross-check of the determinant path that needs O(m) new table entries.
 
 The polynomials themselves are never formed. Chebyshev's algorithm
 (Gautschi 1982, "On generating orthogonal polynomials"; Gautschi 2004,
@@ -48,12 +48,11 @@ OrthogonalityLost.
 Positive definiteness of the form is exactly the hypothesis that makes the
 construction work. It is not assumed: the first nonpositive t_n raises
 PositivityViolation, an expected outcome for user-supplied sequences; the
-states yielded before it stay valid.
+pairs yielded before it stay valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -61,25 +60,9 @@ from .errors import OrthogonalityLost, PositivityViolation
 from .moments import MomentSequence
 
 
-@dataclass(frozen=True)
-class OrthoState:
-    """The recurrence after q_0 .. q_m.
-
-    ``t`` holds the squared norms t_0 .. t_m, ``recurrence`` the pairs
-    (alpha_k, beta_k) for k < m, and ``partial_sum`` the approximant A_m.
-    beta_0 is t_0 by convention; it multiplies q_{-1} = 0, so it never
-    enters.
-    """
-
-    m: int
-    t: tuple
-    recurrence: tuple
-    partial_sum: Fraction
-
-
 def _coefficients(sigma: list, t: list, k: int) -> tuple:
     """(alpha_k, beta_k) read off rows k and k-1 of the table."""
-    if k == 0:
+    if k == 0:  # beta_0 = t_0 by convention: it multiplies q_{-1} = 0
         return sigma[0][2] / t[0], t[0]
     return sigma[k][k + 2] / t[k] - sigma[k - 1][k + 1] / t[k - 1], t[k] / t[k - 1]
 
@@ -100,15 +83,15 @@ def _extend_diagonal(sigma: list, recurrence: list, moment: Fraction, top: int) 
         sigma[k].append(_entry(sigma, recurrence, k, len(sigma[k]) - 1))
 
 
-def ortho_states(seq: MomentSequence, n_max: int) -> Iterator[OrthoState]:
-    """Yield the states for n = 0 .. n_max in order.
+def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
+    """Yield (A_n N_n, N_n) = (P_n, Q_n), N_n = t_0 ... t_n, for n = 0 .. n_max.
 
-    State n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
+    Step n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
     a short sequence fails at the first index it lacks.
     """
     sigma = [[]]  # sigma[k][l + 1] = sigma_{k,l}
     recurrence, t = [], []
-    partial_sum = Fraction(0)
+    partial_sum, norm = Fraction(0), Fraction(1)
     for n in range(n_max + 1):
         _extend_diagonal(sigma, recurrence, seq.moment(2 * n + 1), n - 1)
         if n:
@@ -126,13 +109,14 @@ def ortho_states(seq: MomentSequence, n_max: int) -> Iterator[OrthoState]:
         t.append(t_n)
         s_n = sigma[n][0]
         partial_sum += s_n * s_n / t_n
-        yield OrthoState(n, tuple(t), tuple(recurrence), partial_sum)
+        norm *= t_n
+        yield partial_sum * norm, norm
 
 
 def approximant_ortho(seq: MomentSequence, n: int) -> Fraction:
     """A_n after n steps; equals the determinant ratio P_n/Q_n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    for state in ortho_states(seq, n):
+    for P, Q in ortho_sweep(seq, n):
         pass
-    return state.partial_sum
+    return P / Q

@@ -69,11 +69,31 @@ def skewed_alpha_1(monkeypatch):
     monkeypatch.setattr(orthopoly, "_coefficients", skewed)
 
 
+def record_coefficients(monkeypatch) -> list:
+    """Return a list that every (alpha_k, beta_k) the recurrence computes is
+    appended to, in order; the values themselves stay exact."""
+    exact, recorded = orthopoly._coefficients, []
+
+    def recording(sigma, t, k):
+        recorded.append(exact(sigma, t, k))
+        return recorded[-1]
+
+    monkeypatch.setattr(orthopoly, "_coefficients", recording)
+    return recorded
+
+
+@pytest.fixture
+def coefficients(monkeypatch):
+    """The recurrence's (alpha_k, beta_k), k = 0, 1, ..., recorded as a test
+    runs it; the polynomial oracle rebuilds q_0, q_1, ... from them."""
+    return record_coefficients(monkeypatch)
+
+
 def skew_rows(monkeypatch, route: str, bad_n: int, change) -> None:
     """Make row ``bad_n`` of the driver's ``route`` come out as ``change(*row)``.
 
     ``route`` names a generator of (P_n, Q_n)-like pairs that the driver
-    calls: "hankel_sweep", "hankel_residues" or "_recurrence_pairs". Every
+    calls: "hankel_sweep", "hankel_residues" or "ortho_sweep". Every
     other row stays as it was.
     """
     exact = getattr(driver, route)

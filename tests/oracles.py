@@ -106,14 +106,14 @@ def inner_product(f, g, seq) -> Fraction:
     )
 
 
-def polynomials(state) -> list[tuple]:
-    """q_0 .. q_m of an OrthoState, rebuilt from its (alpha_k, beta_k).
+def polynomials(recurrence) -> list[tuple]:
+    """q_0 .. q_m rebuilt from the recurrence's (alpha_k, beta_k), k < m.
 
     q_{k+1} = (x - alpha_k) q_k - beta_k q_{k-1}, with q_0 = 1 and q_{-1} = 0.
     """
     polys = [(Fraction(1),)]
     prev = ()
-    for alpha, beta in state.recurrence:
+    for alpha, beta in recurrence:
         curr = polys[-1]
         coeffs = [Fraction(0), *curr]
         for i, c in enumerate(curr):

@@ -22,7 +22,6 @@ against and 4 s for the default walks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 import pytest
 
@@ -31,8 +30,9 @@ from hankel_approx.driver import run_convergence
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
-from hankel_approx.orthopoly import ortho_states
+from hankel_approx.orthopoly import ortho_sweep
 
+from .conftest import record_coefficients
 from .golden_values import (
     GAMMA_ROWS,
     GOMPERTZ_ROWS,
@@ -84,11 +84,16 @@ def det_sweeps(sequences, eliminations):
 
 @pytest.fixture(scope="module")
 def ortho_sweeps(sequences):
-    """family -> list of recurrence states for n = 0 .. range."""
-    return {
-        family: list(ortho_states(sequences[family], FAMILIES[family][2]))
-        for family in FAMILIES
-    }
+    """family -> (list of (A_n N_n, N_n) for n = 0 .. range, the recurrence's
+    (alpha_k, beta_k) for k < range)."""
+    sweeps = {}
+    with pytest.MonkeyPatch.context() as mp:
+        coefficients = record_coefficients(mp)
+        for family in FAMILIES:
+            coefficients.clear()
+            pairs = list(ortho_sweep(sequences[family], FAMILIES[family][2]))
+            sweeps[family] = pairs, list(coefficients)
+    return sweeps
 
 
 def assert_decimal_close(value: Fraction, printed: str, digits: int):
@@ -146,9 +151,10 @@ def test_factorial_family_follows_harmonic(det_sweeps):
 
 def test_engines_agree_and_norms_factor(det_sweeps, ortho_sweeps):
     for family in FAMILIES:
-        for (P, Q), state in zip(det_sweeps[family], ortho_sweeps[family]):
-            assert P / Q == state.partial_sum, f"{family} n={state.m}"
-            assert Q == prod(state.t), f"{family} n={state.m}"
+        pairs, _ = ortho_sweeps[family]
+        for n, ((P, Q), (AN, N)) in enumerate(zip(det_sweeps[family], pairs)):
+            assert P / Q == AN / N, f"{family} n={n}"
+            assert Q == N, f"{family} n={n}"
 
 
 def test_structural_guarantees(det_sweeps, sequences):
@@ -191,7 +197,7 @@ def test_sweep_never_falls_back_on_builtin_families(det_sweeps, eliminations):
 
 def test_orthogonality_across_families(sequences, ortho_sweeps):
     for family, seq in sequences.items():
-        polys = polynomials(ortho_sweeps[family][12])
+        polys = polynomials(ortho_sweeps[family][1][:12])
         assert len(polys) == 13
         for i in range(13):
             for j in range(i):

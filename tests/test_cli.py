@@ -90,6 +90,31 @@ def test_approx_out_file(runner, tmp_path):
     )
     assert res.exit_code == 0
     assert out.read_text() == res.output.rstrip("\n")
+    # An --out that cannot be written fails before anything is printed.
+    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "2",
+                               "--out", str(tmp_path)])
+    assert (res.exit_code, res.stdout) == (4, "")
+    assert res.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("a, code", [
+    (["1"] * 6, 3),  # not positive definite: t_1 = 0
+    (["1", "2", "5", "16"], 4),  # too short for n = 2
+], ids=["flat", "short"])
+def test_approx_out_file_holds_the_rows_of_a_stopped_run(runner, write_moments_file,
+                                                         tmp_path, a, code):
+    path = write_moments_file("stops", a)
+    out = tmp_path / "rows.txt"
+    args = ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "3",
+            "--out"]
+    res = runner.invoke(main, args + [str(out)])
+    assert res.exit_code == code
+    assert res.stdout.endswith("\n")
+    assert out.read_text() == res.stdout[:-1]
+    assert res.stderr.startswith("error: ")
+    res = runner.invoke(main, args + [str(tmp_path)])
+    assert (res.exit_code, res.stdout) == (4, "")
+    assert res.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_approx_custom_family(runner, write_moments_file):
@@ -162,16 +187,25 @@ def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
      "error: moment a_1: number has more than 2000000 digits (line 1, column 21)\n"),
     ('{"name": "x", "a": ["1"], "reference": "0.' + "1" * 2_000_000 + '"}',
      "error: reference: number has more than 2000000 digits (line 1, column 40)\n"),
-], ids=["nested", "long-moment", "long-reference"])
+    ('{"name": "x", "a": [' + "1" * 2_000_001 + "]}",
+     "error: invalid moment file: a number has more than 2000000 digits\n"),
+    ('{"name": ' + "1" * 2_000_001 + ', "a": ["1"]}',
+     "error: invalid moment file: a number has more than 2000000 digits\n"),
+    ('{"name": "x", "a": [' + "[" * 900 + "]" * 900 + "]}",
+     "error: moment a_1 must be a rational string, got a JSON array\n"),
+], ids=["nested", "long-moment", "long-reference", "long-literal", "long-literal-name",
+        "nested-entry"])
 def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, stderr):
-    # Too deep for the JSON parser, or more digits than the int/str limit
-    # that importing the package sets: one error line, no traceback.
+    # Too deep for the JSON parser, more digits than the int/str limit that
+    # importing the package sets, or an entry whose text must not be echoed:
+    # one short error line, no traceback.
     path = tmp_path / "hostile.json"
     path.write_text(text)
     res = runner.invoke(main, command + ["--family", "custom", "--moments-file", str(path)])
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == stderr
+    assert len(res.stderr.encode()) < 100
 
 
 def test_approx_short_custom_sequence(runner, write_moments_file):
@@ -222,6 +256,40 @@ def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
     assert [res.exit_code for res in runs.values()] == [0, 0]
     assert runs["both"].stdout == runs["det"].stdout
     assert len(runs["both"].stdout.splitlines()) == 4
+
+
+def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
+    # A symmetric measure has a_3 = 0, a divisor of the condensation table
+    # from n = 2 on, so the residues stop early and the exact sweep falls
+    # back to elimination. Its eight nodes make the form definite through
+    # degree 7 only.
+    nodes, weights = (Fraction(1, 2), 1, Fraction(3, 2), 2), (1, 2, Fraction(1, 3), Fraction(1, 5))
+    a = [sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes)) for j in range(1, 19)]
+    path = write_moments_file("symmetric", [str(v) for v in a])
+    assert len(list(hankel_residues(load_moments(path), 8, CHECK_PRIME))) == 2
+    calls, det = [], hankel.det_rational
+    monkeypatch.setattr(hankel, "det_rational", lambda rows: calls.append(1) or det(rows))
+    runs, eliminations = {}, {}
+    for method in ("det", "both", "ortho"):
+        before = len(calls)
+        runs[method] = runner.invoke(main, [
+            "approx", "--family", "custom", "--moments-file", str(path),
+            "--n-max", "8", "--format", "csv", "--method", method])
+        eliminations[method] = len(calls) - before
+    assert [res.exit_code for res in runs.values()] == [3, 3, 3]
+    assert runs["det"].stdout == runs["both"].stdout == runs["ortho"].stdout
+    assert [line.split(",")[0] for line in runs["det"].stdout.splitlines()[1:]] == [
+        str(n) for n in range(8)]
+    assert eliminations["det"] and eliminations["both"] and not eliminations["ortho"]
+
+    args = ["validate", "--family", "custom", "--moments-file", str(path), "--n-max"]
+    res = runner.invoke(main, args + ["7"])
+    assert res.exit_code == 0
+    assert [line.split(" ")[0] for line in res.stdout.splitlines()] == ["PASS"] * 4
+    res = runner.invoke(main, args + ["8"])
+    assert res.exit_code == 3
+    assert res.stdout == (
+        "FAIL positive-definite: squared norm fails at degree 8; positive through 7\n")
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from hankel_approx import driver
+from hankel_approx.cli import main
 from hankel_approx.driver import (
     CHECK_PRIME,
     ELIDE_THRESHOLD,
@@ -214,10 +216,13 @@ def test_emit_json_roundtrip():
 
 
 def test_emit_writes_out_file(tmp_path):
+    # emit only renders; approx writes its text to --out.
     records = run_convergence(family="gompertz", n_max=1)
     out = tmp_path / "run.csv"
-    text = emit(records, "csv", out=str(out))
-    assert out.read_text() == text
+    res = CliRunner().invoke(main, ["approx", "--family", "gompertz", "--n-max", "1",
+                                    "--format", "csv", "--out", str(out)])
+    assert res.exit_code == 0
+    assert out.read_text() == emit(records, "csv")
 
 
 def test_emit_rejects_unknown_format():

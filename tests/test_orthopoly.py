@@ -1,16 +1,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import prod
 
 import pytest
 
 from hankel_approx.errors import OrthogonalityLost, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q
 from hankel_approx.moments import MomentSequence
-from hankel_approx.orthopoly import approximant_ortho, ortho_states
+from hankel_approx.orthopoly import approximant_ortho, ortho_sweep
 
 from .oracles import inner_product, polynomials
 
@@ -43,74 +41,78 @@ def test_inner_product_is_bilinear(zeta2_seq):
     assert left == right
 
 
-def test_ortho_init(gompertz_seq):
-    state = next(ortho_states(gompertz_seq, 0))
-    assert state.m == 0
-    assert state.t == (2,)  # a_2
-    assert state.recurrence == ()
-    assert state.partial_sum == Fraction(1, 2)  # a_1^2 / a_2
+def norms(pairs) -> list:
+    """t_0 .. t_n read off the pairs: N_n = t_0 ... t_n, so t_n = N_n/N_{n-1}."""
+    Q = [Q for _, Q in pairs]
+    return [q / prev for q, prev in zip(Q, [1] + Q)]
+
+
+def test_ortho_init(gompertz_seq, coefficients):
+    m, (P, Q) = next(enumerate(ortho_sweep(gompertz_seq, 0)))
+    assert m == 0
+    assert norms([(P, Q)]) == [2]  # a_2
+    assert coefficients == []
+    assert P / Q == Fraction(1, 2)  # a_1^2 / a_2
 
 
 def test_ortho_init_rejects_nonpositive_a2():
     seq = MomentSequence("bad", values=[Fraction(1), Fraction(-1)])
     with pytest.raises(PositivityViolation) as excinfo:
-        next(ortho_states(seq, 3))
+        next(ortho_sweep(seq, 3))
     assert excinfo.value.index == 0
     assert excinfo.value.value == -1
 
 
-def test_ortho_step_returns_new_state(gompertz_seq):
-    s0, s1 = ortho_states(gompertz_seq, 1)
-    assert s0.m == 0 and len(s0.t) == 1  # original untouched
-    assert s1.m == 1 and s1.t == (2, Fraction(7, 2))
-    assert s1.recurrence == ((Fraction(5, 2), 2),)  # alpha_0 = a_3/a_2, beta_0 = t_0
-    assert polynomials(s1)[1] == (Fraction(-5, 2), 1)  # monic, degree 1
-    assert s1.partial_sum == Fraction(4, 7)
-    with pytest.raises(FrozenInstanceError):
-        s1.m = 2
+def test_ortho_step_returns_new_state(gompertz_seq, coefficients):
+    pairs = list(ortho_sweep(gompertz_seq, 1))
+    assert pairs[0] == (1, 2)  # the first pair stays as yielded
+    assert len(pairs) == 2 and norms(pairs) == [2, Fraction(7, 2)]
+    assert coefficients == [(Fraction(5, 2), 2)]  # alpha_0 = a_3/a_2, beta_0 = t_0
+    assert polynomials(coefficients)[1] == (Fraction(-5, 2), 1)  # monic, degree 1
+    assert pairs[1][0] / pairs[1][1] == Fraction(4, 7)
 
 
-def test_ortho_states_yields_every_index(zeta3_seq):
-    states = list(ortho_states(zeta3_seq, 6))
-    assert [st.m for st in states] == list(range(7))
-    for st in states:
-        assert len(st.t) == st.m + 1
-        assert len(st.recurrence) == st.m
-        polys = polynomials(st)
-        assert [len(q) for q in polys] == list(range(1, st.m + 2))
+def test_ortho_states_yields_every_index(zeta3_seq, coefficients):
+    pairs = list(ortho_sweep(zeta3_seq, 6))
+    assert [m for m, _ in enumerate(pairs)] == list(range(7))
+    assert len(coefficients) == 6
+    for m in range(7):
+        assert len(norms(pairs[:m + 1])) == m + 1
+        polys = polynomials(coefficients[:m])
+        assert [len(q) for q in polys] == list(range(1, m + 2))
         assert all(q[-1] == 1 for q in polys)
 
 
-def test_orthogonality_small(gompertz_seq):
-    last = list(ortho_states(gompertz_seq, 8))[-1]
-    polys = polynomials(last)
+def test_orthogonality_small(gompertz_seq, coefficients):
+    t = norms(list(ortho_sweep(gompertz_seq, 8)))
+    polys = polynomials(coefficients)
     for i in range(len(polys)):
         for j in range(i):
             assert inner_product(polys[i], polys[j], gompertz_seq) == 0
-        assert inner_product(polys[i], polys[i], gompertz_seq) == last.t[i]
+        assert inner_product(polys[i], polys[i], gompertz_seq) == t[i]
 
 
 def test_validated_step_rejects_lost_orthogonality(gompertz_seq, skewed_alpha_1):
-    states = []
+    pairs = []
     with pytest.raises(OrthogonalityLost) as excinfo:
-        for state in ortho_states(gompertz_seq, 4):
-            states.append(state)
-    assert [st.m for st in states] == [0, 1]
+        for pair in ortho_sweep(gompertz_seq, 4):
+            pairs.append(pair)
+    assert [m for m, _ in enumerate(pairs)] == [0, 1]
     # The skewed q_2 is still orthogonal to q_0; the scan reports q_1.
     assert (excinfo.value.degree, excinfo.value.other) == (2, 1)
-    assert excinfo.value.residual == -states[1].t[1]
+    assert excinfo.value.residual == -norms(pairs)[1]
 
 
 def test_positivity_violation_stops_after_yielded_states():
     seq = MomentSequence("flat", values=[Fraction(1)] * 6)
-    states = []
+    pairs = []
     with pytest.raises(PositivityViolation) as excinfo:
-        for state in ortho_states(seq, 3):
-            states.append(state)
+        for pair in ortho_sweep(seq, 3):
+            pairs.append(pair)
     exc = excinfo.value
     assert exc.index == 1
     assert exc.value == 0
-    assert [(st.m, st.partial_sum) for st in states] == [(0, 1)]
+    assert [(m, P / Q) for m, (P, Q) in enumerate(pairs)] == [(0, 1)]
 
 
 def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
@@ -120,8 +122,8 @@ def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
 
 
 def test_norm_product_equals_hankel_Q(gompertz_seq):
-    for state in ortho_states(gompertz_seq, 6):
-        assert prod(state.t) == hankel_Q(gompertz_seq, state.m)
+    for m, (_, norm) in enumerate(ortho_sweep(gompertz_seq, 6)):
+        assert norm == hankel_Q(gompertz_seq, m)
 
 
 def test_approximant_ortho_known_values(zeta2_seq):
@@ -132,5 +134,5 @@ def test_approximant_ortho_known_values(zeta2_seq):
 
 
 def test_partial_sums_nondecreasing(gompertz_seq):
-    values = [st.partial_sum for st in ortho_states(gompertz_seq, 10)]
+    values = [P / Q for P, Q in ortho_sweep(gompertz_seq, 10)]
     assert all(a <= b for a, b in zip(values, values[1:]))

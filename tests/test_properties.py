@@ -14,7 +14,6 @@ moments a_1 .. a_{2N+2} that n = 0 .. N need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +24,7 @@ from hankel_approx.driver import CHECK_PRIME, _walk
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_sweep
 from hankel_approx.moments import MomentSequence
-from hankel_approx.orthopoly import ortho_states
+from hankel_approx.orthopoly import ortho_sweep
 
 from .conftest import skew_rows
 
@@ -69,37 +68,38 @@ small_and_fast = settings(max_examples=150, deadline=None)
 
 
 def recurrence_run(seq, n_max):
-    """The states yielded, and the degree of the positivity failure or None."""
-    states = []
+    """The (A_n N_n, N_n) pairs yielded, and the degree of the positivity
+    failure or None."""
+    pairs = []
     try:
-        for state in ortho_states(seq, n_max):
-            states.append(state)
+        for pair in ortho_sweep(seq, n_max):
+            pairs.append(pair)
     except PositivityViolation as exc:
-        return states, exc.index
-    return states, None
+        return pairs, exc.index
+    return pairs, None
 
 
 @small_and_fast
 @given(sequences)
 def test_partial_sums_equal_determinant_ratio(case):
     seq, n_max = case
-    for state in recurrence_run(seq, n_max)[0]:
-        assert state.partial_sum == hankel_P(seq, state.m) / hankel_Q(seq, state.m)
+    for m, (P, Q) in enumerate(recurrence_run(seq, n_max)[0]):
+        assert P / Q == hankel_P(seq, m) / hankel_Q(seq, m)
 
 
 @small_and_fast
 @given(sequences)
 def test_norm_product_equals_hankel_Q(case):
     seq, n_max = case
-    for state in recurrence_run(seq, n_max)[0]:
-        assert prod(state.t) == hankel_Q(seq, state.m)
+    for m, (_, norm) in enumerate(recurrence_run(seq, n_max)[0]):
+        assert norm == hankel_Q(seq, m)
 
 
 @small_and_fast
 @given(sequences)
 def test_positivity_violation_at_first_nonpositive_Q(case):
     seq, n_max = case
-    states, failed_at = recurrence_run(seq, n_max)
+    pairs, failed_at = recurrence_run(seq, n_max)
     first_bad = None
     for n in range(n_max + 1):
         try:
@@ -108,7 +108,7 @@ def test_positivity_violation_at_first_nonpositive_Q(case):
             first_bad = n
             break
     assert failed_at == first_bad
-    assert len(states) == (n_max + 1 if failed_at is None else failed_at)
+    assert len(pairs) == (n_max + 1 if failed_at is None else failed_at)
 
 
 def determinant_run(rows):
@@ -177,8 +177,8 @@ def test_default_walk_catches_a_one_entry_change_of_either_route(case, data):
     seq, n_max = case
     rows, _ = walk_run(seq, n_max, "both")
     formed = len(list(hankel_residues(seq, n_max, CHECK_PRIME)))  # later rows are exact
-    route = data.draw(st.sampled_from(("_recurrence_pairs", "hankel_residues")))
-    reach = len(rows) if route == "_recurrence_pairs" else min(len(rows), formed)
+    route = data.draw(st.sampled_from(("ortho_sweep", "hankel_residues")))
+    reach = len(rows) if route == "ortho_sweep" else min(len(rows), formed)
     assume(reach > 0)
     bad_n = data.draw(st.integers(0, reach - 1), label="bad_n")
     entry = data.draw(st.sampled_from((0, 1)), label="entry")  # P_n or Q_n
