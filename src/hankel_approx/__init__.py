@@ -2,9 +2,9 @@
 
 Given the moments a_n = L(e_n) of a linear functional, two exact engines
 compute the approximant sequence P_n/Q_n that climbs toward L(e_0): a
-Hankel-determinant path (a condensation table, with fraction-free
-elimination as its fallback) and an incremental orthogonal-polynomial
-recurrence. Built-in moment families target the
+Hankel-determinant path (a condensation table, with a bordered
+fraction-free elimination past a zero divisor) and an incremental
+orthogonal-polynomial recurrence. Built-in moment families target the
 Euler-Mascheroni constant, the Euler-Gompertz constant, and zeta(k).
 """
 

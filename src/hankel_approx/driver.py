@@ -13,7 +13,7 @@ CHECK_PRIME = 2^61 - 1 and runs the determinant table mod that prime only
 (``hankel_residues``), so its cost is close to the recurrence's alone; a
 wrong exact pair escapes it only if the prime divides the numerators of
 both differences to the true pair. A row the residues cannot form (a
-divisor or moment denominator that the prime divides) and every later one
+pivot or moment denominator that the prime divides) and every later one
 are compared exactly.
 
 ``run_convergence`` (``approx``) returns the records and ``cross_validate``
@@ -132,10 +132,10 @@ def run_convergence(family: str, n_max: int, k: int | None = None,
                     method: str | None = None, moments_file: str | None = None) -> list:
     """Records for n = 0 .. n_max, in order.
 
-    ``method=None`` means "ortho" for custom sequences and "both" otherwise:
-    a custom sequence can put a zero divisor in the determinant sweep's
-    table, and from there on the sweep falls back to per-index elimination,
-    O(N^4) instead of O(N^2); the recurrence has no such case.
+    ``method=None`` means "ortho" for custom sequences and "both" otherwise.
+    Cost does not call for the custom default: past a zero divisor of the
+    determinant table both sweeps continue by an O(N^3) elimination. It is
+    kept because JSON rows name their method.
     """
     seq = family_sequence(family, k, moments_file)
     if method is None:

@@ -1,4 +1,4 @@
-"""Hankel matrices from moment sequences and their determinants, exact or mod a prime.
+"""Hankel determinants from moment sequences, exact or mod a prime.
 
 The two determinant families are
 
@@ -16,97 +16,35 @@ Entry H^(k)_m first needs the moment a_{k+2m-2}, so each moment adds one
 anti-diagonal j = k + 2m - 2, and only the last three anti-diagonals are
 kept. Step n adds the anti-diagonals of a_{2n+1} and a_{2n+2}; the second
 ends with Q_n = H^(2)_{n+1} and -P_n = H^(0)_{n+2}. That is O(n) new
-entries per step, O(N^2) for a sweep, against O(N^4) for per-n
-elimination.
+entries per step, O(N^2) for a sweep.
 
 The divisor H^(k+2)_{m-1} can be zero for a custom sequence (the odd
-moments of a symmetric measure vanish, for one). From the step that meets
-one on, the sweep computes each index with ``hankel_P``/``hankel_Q``,
-which evaluate one matrix each with ``det_rational``: fraction-free
-elimination of the matrix with its rows scaled to integers. Matrices are
-plain lists of rows.
+moments of a symmetric measure vanish, for one). From the row the table
+cannot finish on, the sweep takes its rows from a bordered elimination:
+with row and column 0 of P_n's matrix moved last, P_n = -det M_n for
 
-``hankel_residues`` runs the same table on the moments reduced mod a prime
-p, dividing by modular inverses, and yields (P_n mod p, Q_n mod p). Its
-entries stay below p, so a row costs O(n) word-size operations however
-large the exact determinants grow. A divisor that is 0 mod p (an exact
-zero, or p dividing a nonzero one), or a moment whose denominator p
-divides, ends it early; the caller decides what replaces the rest.
+    M_n = [[H_n, b_n], [b_n^T, 0]],   H_n = (a_{i+j+2})_{i,j<=n},  b_n = (a_1 .. a_{n+1}),
+
+and one-step fraction-free elimination (Bareiss 1968) grows M_n by one row
+and column per n, O(n^2) operations per step. Its pivots are Q_0, Q_1, ...,
+so it never searches for one. ``hankel_P`` and ``hankel_Q`` read the last
+pair of one such run.
+
+``hankel_residues`` runs the same two algorithms on the moments reduced
+mod a prime p, dividing by modular inverses: its entries stay below p
+however large the exact determinants grow. A moment whose denominator p
+divides, or a pivot that p divides, ends it early; the caller decides what
+replaces the rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import islice
 from typing import Iterator
 
 from .errors import NonPositiveQ
 from .moments import MomentSequence
-
-
-def _hankel_matrix(seq: MomentSequence, n: int, shift: int) -> list[list[Fraction]]:
-    """Rows of the Hankel matrix (a_{shift+i+j})_{i,j<order}, with a_0 = 0,
-    whose last entry is a_{2n+2}: P_n's from shift 0 (order n+2), Q_n's
-    from shift 2 (order n+1)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    a = [Fraction(0)] + seq.moments(2 * n + 2)
-    order = n + 2 - shift // 2
-    return [a[shift + i:shift + i + order] for i in range(order)]
-
-
-def det_rational(rows) -> Fraction:
-    """Exact determinant of a square rational matrix given as rows.
-
-    Row i is scaled by the lcm L_i of its entry denominators into an
-    integer copy, which one-step fraction-free elimination (Bareiss 1968)
-    reduces: after column k every entry is an exact (k+1)-minor, so the
-    division by the previous pivot is exact and entries grow only
-    polynomially. A zero pivot is swapped with the first row below that is
-    nonzero in its column (the arithmetic is exact, so magnitudes do not
-    matter); if there is none, the determinant is 0. The product of the L_i
-    is divided back out.
-    """
-    scale = 1
-    m = []
-    for row in rows:
-        L = lcm(*(e.denominator for e in row))
-        scale *= L
-        m.append([int(e * L) for e in row])
-    size = len(m)
-    sign = prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        rk = m[k]
-        pivot = rk[k]
-        for ri in m[k + 1:]:
-            head = ri[k]
-            for j in range(k + 1, size):
-                ri[j] = (pivot * ri[j] - head * rk[j]) // prev
-        prev = pivot
-    return Fraction(sign * m[-1][-1], scale) if m else Fraction(1)
-
-
-def hankel_P(seq: MomentSequence, n: int) -> Fraction:
-    """P_n = -det(a_{i+j}), i,j = 0..n+1."""
-    # Entry (0,0) is always a_0 = 0, so elimination starts with a row swap;
-    # this is the routine path, not an edge case.
-    return -det_rational(_hankel_matrix(seq, n, 0))
-
-
-def hankel_Q(seq: MomentSequence, n: int) -> Fraction:
-    """Q_n = det(a_{i+j+2}), i,j = 0..n; raises NonPositiveQ unless Q_n > 0."""
-    value = det_rational(_hankel_matrix(seq, n, 2))
-    if value <= 0:
-        raise NonPositiveQ(n, value)
-    return value
 
 
 def _condense(moment, divide, n_max: int) -> Iterator[tuple]:
@@ -131,6 +69,58 @@ def _condense(moment, divide, n_max: int) -> Iterator[tuple]:
         yield -old[n + 2], old[n + 1]
 
 
+def _eliminate(moment, divide, n_max: int) -> Iterator[tuple]:
+    """Yield (-det M_n, Q_n) for n = 0, 1, ... up to n_max.
+
+    Takes ``_condense``'s arguments. Step n reads a_{2n+1}, then a_{2n+2},
+    and reduces H_n's new row and its border entry B_n by the n finished
+    rows, whose frozen entries are, by symmetry, the column it needs. The
+    corner steps as c <- (Q_n c - B_n^2) / Q_{n-1} to det M_n. It stops
+    after yielding a pivot that is 0, or at a moment given as None.
+    """
+    a = [0]  # a_0 = 0, then each moment read
+    rows, border = [], []  # rows[k][j]: row k of H after k steps, at column j
+    corner = 0
+    for n in range(n_max + 1):
+        for j in (2 * n + 1, 2 * n + 2):
+            a.append(moment(j))
+            if a[-1] is None:
+                return
+        row, b, last = a[n + 2:], a[n + 1], 1
+        for k, done in enumerate(rows):
+            head, pivot = row[k], done[k]
+            done.append(head)  # row k's column n is row n's column k
+            for j in range(k + 1, n + 1):
+                row[j] = divide(pivot * row[j] - head * done[j], last)
+            b = divide(pivot * b - head * border[k], last)
+            last = pivot
+        rows.append(row)
+        border.append(b)
+        Q = row[n]
+        corner = divide(Q * corner - b * b, last)
+        yield -corner, Q
+        if Q == 0:
+            return
+
+
+def _rows(moment, divide, n_max: int) -> Iterator[tuple]:
+    """The table's rows, then the elimination's from the first it cannot finish."""
+    done = 0
+    for row in _condense(moment, divide, n_max):
+        yield row
+        done += 1
+    if done <= n_max:
+        yield from islice(_eliminate(moment, divide, n_max), done, None)
+
+
+def _exact(rows, seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """``rows`` over the rationals, raising NonPositiveQ at the first Q_n <= 0."""
+    for n, (P, Q) in enumerate(rows(seq.moment, Fraction.__truediv__, n_max)):
+        if Q <= 0:
+            raise NonPositiveQ(n, Q)
+        yield P, Q
+
+
 def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
     """Yield (P_n, Q_n) for n = 0 .. n_max in order.
 
@@ -138,16 +128,25 @@ def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fr
     a short sequence fails at the first index it lacks; Q_n <= 0 raises
     NonPositiveQ after both reads.
     """
-    done = 0
-    for P, Q in _condense(seq.moment, Fraction.__truediv__, n_max):
-        if Q <= 0:
-            raise NonPositiveQ(done, Q)
-        yield P, Q
-        done += 1
-    # The identity left row `done` open: evaluate it and every later index
-    # by elimination instead.
-    for n in range(done, n_max + 1):
-        yield hankel_P(seq, n), hankel_Q(seq, n)
+    return _exact(_rows, seq, n_max)
+
+
+def _last_pair(seq: MomentSequence, n: int) -> tuple[Fraction, Fraction]:
+    """(P_n, Q_n) from one elimination; NonPositiveQ at the first Q_m <= 0, m <= n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    *_, last = _exact(_eliminate, seq, n)
+    return last
+
+
+def hankel_P(seq: MomentSequence, n: int) -> Fraction:
+    """P_n = -det(a_{i+j}), i,j = 0..n+1."""
+    return _last_pair(seq, n)[0]
+
+
+def hankel_Q(seq: MomentSequence, n: int) -> Fraction:
+    """Q_n = det(a_{i+j+2}), i,j = 0..n."""
+    return _last_pair(seq, n)[1]
 
 
 def residue(x: Fraction, p: int) -> int | None:
@@ -160,12 +159,10 @@ def residue(x: Fraction, p: int) -> int | None:
 def hankel_residues(seq: MomentSequence, n_max: int, p: int) -> Iterator[tuple[int, int]]:
     """Yield (P_n mod p, Q_n mod p) for n = 0, 1, ... up to n_max.
 
-    The same table as ``hankel_sweep``, over the integers mod the prime p:
-    word-size entries instead of growing fractions. It stops before the
-    first row it cannot form, at a moment whose denominator p divides or
-    at a divisor that is 0 mod p; residues carry no sign, so Q_n is not
-    checked.
+    The same rows as ``hankel_sweep``, over the integers mod the prime p.
+    They stop before a moment whose denominator p divides and after a pivot
+    Q_n that p divides; residues carry no sign, so Q_n is not checked.
     """
-    for P, Q in _condense(lambda j: residue(seq.moment(j), p),
-                          lambda x, d: x * pow(d, -1, p) % p, n_max):
+    for P, Q in _rows(lambda j: residue(seq.moment(j), p),
+                      lambda x, d: x * pow(d, -1, p) % p, n_max):
         yield P % p, Q

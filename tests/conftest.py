@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from hankel_approx import driver, orthopoly
+from hankel_approx import driver, hankel, orthopoly
 from hankel_approx.moments import (
     factorial_sequence,
     gamma_sequence,
@@ -79,6 +80,19 @@ def record_coefficients(monkeypatch) -> list:
         return recorded[-1]
 
     monkeypatch.setattr(orthopoly, "_coefficients", recording)
+    return recorded
+
+
+def record_eliminations(monkeypatch) -> list:
+    """Return a list that gets one entry per run of the bordered elimination
+    ``hankel._eliminate``: True for an exact run, False for one mod a prime."""
+    exact, recorded = hankel._eliminate, []
+
+    def recording(moment, divide, n_max):
+        recorded.append(divide is Fraction.__truediv__)
+        return exact(moment, divide, n_max)
+
+    monkeypatch.setattr(hankel, "_eliminate", recording)
     return recorded
 
 

@@ -1,9 +1,8 @@
 """Independent checks and helpers used by the test suite.
 
 The oracles deliberately avoid the package's own elimination and
-summation code: the determinant oracles are plain cofactor expansion and
-the arrow-matrix closed form, and the Hankel matrices they expand are
-built here too; the moment oracles are numerical quadrature, and the
+summation code: the determinant oracle is plain cofactor expansion, and
+the Hankel matrices it expands are built here too; the moment oracles are numerical quadrature, and the
 factorial family's approximants are checked against harmonic numbers, so
 agreement is evidence rather than tautology. The recurrence's
 polynomials are rebuilt from its coefficients and paired by the defining
@@ -49,38 +48,6 @@ def cofactor_det(rows: list[list]) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(rows[0][j]) * cofactor_det(minor)
     return total
-
-
-class ArrowShapeViolation(ValueError):
-    """Matrix is not arrow-shaped: nonzero entry off the diagonal, first row and column."""
-
-
-class ZeroDiagonal(ValueError):
-    """Arrow-matrix formula needs nonzero diagonal entries below the corner."""
-
-
-def arrow_det(rows: list[list]) -> Fraction:
-    """Closed-form determinant for arrow matrices.
-
-    Requires entry [i][j] = 0 whenever i != j and i,j > 0, and a nonzero
-    diagonal below the corner; then
-
-        det = (prod_{i>=1} a_{i,i}) * (a_{0,0} - sum_{i>=1} a_{i,0} a_{0,i} / a_{i,i})
-    """
-    n = len(rows) - 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and rows[i][j] != 0:
-                raise ArrowShapeViolation(f"nonzero entry at ({i}, {j})")
-    product = Fraction(1)
-    total = Fraction(rows[0][0])
-    for i in range(1, n + 1):
-        d = rows[i][i]
-        if d == 0:
-            raise ZeroDiagonal(f"zero diagonal entry at ({i}, {i})")
-        product *= d
-        total -= Fraction(rows[i][0]) * rows[0][i] / d
-    return product * total
 
 
 def harmonic(n: int) -> Fraction:

@@ -4,19 +4,20 @@ Eleven checks, one test function each, so a verbose pytest run reports one
 pass/fail line per check. The first four compare against the frozen
 known-good tables in golden_values.py; the rest assert the structural
 guarantees the construction promises (engine equivalence, positivity,
-monotonicity, orthogonality), check both determinant routes, the
-condensation sweep and the elimination ``det_rational``, against cofactor
-expansion of Hankel matrices built by the test oracles, check the sweep
-against per-n elimination over every family's range, guard that the
-sweep never falls back to elimination on a built-in family, and that
-``approx``'s default walk computes no exact determinant at all.
+monotonicity, orthogonality), check both determinant algorithms, the
+condensation sweep and the bordered elimination behind ``hankel_P`` and
+``hankel_Q``, against cofactor expansion of Hankel matrices built by the
+test oracles, check the sweep against one elimination run over every
+family's range, guard that the sweep never falls back to elimination on a
+built-in family, and that ``approx``'s default walk computes no exact
+determinant at all.
 
 The sweeps are module-scoped: each family's determinant sweep and
 recurrence run happen once and every check reads from the shared results.
-The full module takes about 22 s on a 2-CPU x86-64 machine with CPython
-3.11: about 4 s for the moments and the determinant sweeps, 3 s for the
-recurrence runs, 8 s for the per-n elimination that the sweep is checked
-against and 4 s for the default walks.
+The full module takes about 10 s on a 2-CPU x86-64 machine with CPython
+3.11: about 3 s for the moments and the determinant sweeps, 2.3 s for the
+recurrence runs, 0.7 s for the eliminations that the sweep is checked
+against and 2.4 s for the default walks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import family_sequence
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import record_coefficients
+from .conftest import record_coefficients, record_eliminations
 from .golden_values import (
     GAMMA_ROWS,
     GOMPERTZ_ROWS,
@@ -64,17 +65,16 @@ def sequences():
 
 @pytest.fixture(scope="module")
 def eliminations():
-    """family -> matrices the determinant sweep fell back to eliminating."""
+    """family -> elimination runs the determinant sweep fell back to."""
     return {}
 
 
 @pytest.fixture(scope="module")
 def det_sweeps(sequences, eliminations):
     """family -> list of (P_n, Q_n) for n = 0 .. range, determinant sweep."""
-    sweeps, calls = {}, []
-    exact = hankel.det_rational
+    sweeps = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hankel, "det_rational", lambda rows: calls.append(1) or exact(rows))
+        calls = record_eliminations(mp)
         for family in FAMILIES:
             before = len(calls)
             sweeps[family] = list(hankel_sweep(sequences[family], FAMILIES[family][2]))
@@ -182,16 +182,15 @@ def test_determinant_routes_match_cofactor_oracle(det_sweeps, sequences):
 
 
 def test_sweep_matches_per_index_elimination(det_sweeps, sequences):
+    # One bordered elimination per family gives every P_n, Q_n up to its top.
     for family, (_, _, top) in FAMILIES.items():
-        seq = sequences[family]
-        for n in range(17 if family == "gamma" else top + 1):
-            assert det_sweeps[family][n] == (hankel_P(seq, n), hankel_Q(seq, n)), (
-                f"{family} n={n}"
-            )
+        top = 16 if family == "gamma" else top
+        pairs = list(hankel._eliminate(sequences[family].moment, Fraction.__truediv__, top))
+        assert pairs == det_sweeps[family][:top + 1], family
 
 
 def test_sweep_never_falls_back_on_builtin_families(det_sweeps, eliminations):
-    # A fallback would still give the right values, at O(N^4) cost.
+    # A fallback would still give the right values, at O(N^3) cost.
     assert eliminations == {family: 0 for family in FAMILIES}
 
 
@@ -209,11 +208,10 @@ def test_orthogonality_across_families(sequences, ortho_sweeps):
 def test_default_walk_makes_no_exact_determinant_call(det_sweeps, monkeypatch):
     # approx's default compares the recurrence with the determinants mod a
     # prime; on a built-in family it never needs an exact determinant.
-    sweep_rows, det_calls = [], []
-    sweep, det = driver.hankel_sweep, hankel.det_rational
+    sweep_rows, sweep = [], driver.hankel_sweep
     monkeypatch.setattr(driver, "hankel_sweep", lambda seq, n_max: (
         sweep_rows.append(1) or row for row in sweep(seq, n_max)))
-    monkeypatch.setattr(hankel, "det_rational", lambda rows: det_calls.append(1) or det(rows))
+    det_calls = record_eliminations(monkeypatch)
     for family, (name, k, top) in FAMILIES.items():
         top = 48 if family == "gompertz" else top
         records = run_convergence(family=name, k=k, n_max=top)

@@ -17,6 +17,7 @@ from hankel_approx.driver import CHECK_PRIME
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import load_moments
 
+from .conftest import record_eliminations
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -260,27 +261,28 @@ def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
 
 def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
     # A symmetric measure has a_3 = 0, a divisor of the condensation table
-    # from n = 2 on, so the residues stop early and the exact sweep falls
-    # back to elimination. Its eight nodes make the form definite through
-    # degree 7 only.
+    # from n = 2 on, so both determinant sweeps continue by elimination:
+    # the residues through n = 8, where Q_8 = 0 ends them, and the exact
+    # sweep in det. Its eight nodes make the form definite through degree 7
+    # only.
     nodes, weights = (Fraction(1, 2), 1, Fraction(3, 2), 2), (1, 2, Fraction(1, 3), Fraction(1, 5))
     a = [sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes)) for j in range(1, 19)]
     path = write_moments_file("symmetric", [str(v) for v in a])
-    assert len(list(hankel_residues(load_moments(path), 8, CHECK_PRIME))) == 2
-    calls, det = [], hankel.det_rational
-    monkeypatch.setattr(hankel, "det_rational", lambda rows: calls.append(1) or det(rows))
+    assert len(list(hankel_residues(load_moments(path), 8, CHECK_PRIME))) == 9
+    calls = record_eliminations(monkeypatch)
     runs, eliminations = {}, {}
     for method in ("det", "both", "ortho"):
         before = len(calls)
         runs[method] = runner.invoke(main, [
             "approx", "--family", "custom", "--moments-file", str(path),
             "--n-max", "8", "--format", "csv", "--method", method])
-        eliminations[method] = len(calls) - before
+        eliminations[method] = calls[before:]
     assert [res.exit_code for res in runs.values()] == [3, 3, 3]
     assert runs["det"].stdout == runs["both"].stdout == runs["ortho"].stdout
     assert [line.split(",")[0] for line in runs["det"].stdout.splitlines()[1:]] == [
         str(n) for n in range(8)]
-    assert eliminations["det"] and eliminations["both"] and not eliminations["ortho"]
+    # True marks an exact elimination, False one mod the check prime.
+    assert eliminations == {"det": [True], "both": [False], "ortho": []}
 
     args = ["validate", "--family", "custom", "--moments-file", str(path), "--n-max"]
     res = runner.invoke(main, args + ["7"])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,23 +8,18 @@ from click.testing import CliRunner
 from hankel_approx import hankel
 from hankel_approx.cli import main
 from hankel_approx.errors import NonPositiveQ
-from hankel_approx.hankel import det_rational, hankel_P, hankel_Q, hankel_sweep
-from hankel_approx.moments import MomentSequence
+from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
+from hankel_approx.moments import MomentSequence, family_sequence
 
-from .oracles import (
-    ArrowShapeViolation,
-    ZeroDiagonal,
-    arrow_det,
-    cofactor_det,
-    hankel_matrix,
-)
+from .conftest import record_eliminations
+from .oracles import cofactor_det, hankel_matrix
 
 
 def test_build_matrices(gompertz_seq):
     # a_0 enters as 0 by construction.
     P, Q = [[0, 1, 2], [1, 2, 5], [2, 5, 16]], [[2, 5], [5, 16]]
-    assert hankel._hankel_matrix(gompertz_seq, 1, 0) == hankel_matrix(gompertz_seq, 0, 3) == P
-    assert hankel._hankel_matrix(gompertz_seq, 1, 2) == hankel_matrix(gompertz_seq, 2, 2) == Q
+    assert hankel_matrix(gompertz_seq, 0, 3) == P
+    assert hankel_matrix(gompertz_seq, 2, 2) == Q
     with pytest.raises(ValueError):
         hankel_P(gompertz_seq, -1)
     with pytest.raises(ValueError):
@@ -33,7 +27,7 @@ def test_build_matrices(gompertz_seq):
 
 
 def test_hankel_entries_depend_on_index_sum(gamma_seq):
-    M = hankel._hankel_matrix(gamma_seq, 2, 0)
+    M = hankel_matrix(gamma_seq, 0, 4)
     order = len(M)
     for i in range(order):
         for j in range(order):
@@ -42,60 +36,22 @@ def test_hankel_entries_depend_on_index_sum(gamma_seq):
                 assert M[i][j] == M[i + 1][j - 1]
 
 
-# The elimination's tests: every case goes through det_rational and is
-# checked against cofactor expansion or the arrow-matrix closed form.
-
 def test_det_fraction_free_known_values():
+    # (a_1, a_2, ...) -> the pairs (P_n, Q_n) the bordered elimination
+    # yields; it stops after a pivot Q_n = 0.
     cases = [
-        ([], 1),
-        ([[5]], 5),
-        ([[7]], 7),
-        ([[1, 2], [3, 4]], -2),
-        ([[0, 1], [1, 0]], -1),
-        ([[1, 2], [2, 4]], 0),
-        ([[0, 0], [0, 0]], 0),
-        ([[2, 0, 1], [1, 3, 2], [1, 1, 4]], 18),
-        # Every leading entry zero forces a pivot search at each step.
-        ([[0, 0, 1], [0, 2, 3], [4, 5, 6]], -8),
+        ((5, 7), [(25, 7)]),  # P_0 = a_1^2, Q_0 = a_2
+        ((1, 0), [(1, 0)]),  # P_0's matrix [[0, 1], [1, 0]]
+        ((0, 0), [(0, 0)]),
+        ((1, 2, 5, 16), [(1, 2), (4, 7)]),
+        ((3, 1, 2, 4, 8, 9), [(9, 1), (25, 0)]),  # Q_1 = det [[1, 2], [2, 4]]
     ]
-    for rows, det in cases:
-        before = [row[:] for row in rows]
-        assert det_rational(rows) == cofactor_det(rows) == det, rows
-        assert rows == before  # the input is left as it was
-
-
-def test_det_permutation_matrices():
-    # Pure pivoting exercises: determinant is the permutation sign.
-    rng = random.Random(555)
-    for _ in range(50):
-        n = rng.randint(1, 6)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rows = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
-        assert det_rational(rows) == cofactor_det(rows)
-
-
-def test_det_random_integer_matrices_match_cofactor():
-    rng = random.Random(1272026)
-    for _ in range(500):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det_rational(rows) == cofactor_det(rows)
-
-
-def test_det_rational_matches_cofactor():
-    rng = random.Random(435261)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        rows = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert det_rational(rows) == cofactor_det(rows)
-
-
-def test_det_rational_zero_row():
-    assert det_rational([[Fraction(0), Fraction(0)], [Fraction(1), Fraction(1, 3)]]) == 0
+    for a, pairs in cases:
+        seq = MomentSequence("known", values=[Fraction(v) for v in a])
+        n_max = len(a) // 2 - 1
+        assert list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max)) == pairs, a
+        assert pairs == [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
+                          cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(len(pairs))]
 
 
 def test_hankel_P_and_Q_small(gompertz_seq):
@@ -111,12 +67,16 @@ def test_hankel_P_matches_cofactor(zeta2_seq):
 
 
 def test_hankel_Q_rejects_nonpositive():
-    seq = MomentSequence("flat", values=[Fraction(1)] * 4)
+    # Q_0 = 1 and Q_1 = Q_2 = 0: hankel_P and hankel_Q raise at the first
+    # such m, so at m = 1 for n = 2 too.
+    seq = MomentSequence("flat", values=[Fraction(1)] * 6)
     assert hankel_Q(seq, 0) == 1
-    with pytest.raises(NonPositiveQ) as excinfo:
-        hankel_Q(seq, 1)
-    assert excinfo.value.n == 1
-    assert excinfo.value.value == 0
+    assert cofactor_det(hankel_matrix(seq, 2, 3)) == 0
+    for determinant in (hankel_P, hankel_Q):
+        for n in (1, 2):
+            with pytest.raises(NonPositiveQ) as excinfo:
+                determinant(seq, n)
+            assert (excinfo.value.n, excinfo.value.value) == (1, 0)
 
 
 # Weights 1, 2, 3 at the nodes +-1, +-2, +-3: the odd moments vanish, so
@@ -130,17 +90,18 @@ SYMMETRIC = [
 def test_sweep_falls_back_to_elimination_at_zero_divisor(monkeypatch):
     seq = MomentSequence("symmetric", values=SYMMETRIC)
     assert seq.moment(3) == 0
-    calls = []
-    exact = hankel.det_rational
-    monkeypatch.setattr(hankel, "det_rational", lambda rows: calls.append(len(rows)) or exact(rows))
-    rows, eliminations = [], []
-    for row in hankel_sweep(seq, 5):
-        rows.append(row)
-        eliminations.append(len(calls))
-    # Rows 0 and 1 come off the table; rows 2 .. 5 each take one P and one Q matrix.
-    assert eliminations == [0, 0, 2, 4, 6, 8]
-    assert calls == [4, 3, 5, 4, 6, 5, 7, 6]
+    with monkeypatch.context() as mp:
+        calls = record_eliminations(mp)
+        rows, eliminations = [], []
+        for row in hankel_sweep(seq, 5):
+            rows.append(row)
+            eliminations.append(len(calls))
+    # Rows 0 and 1 come off the table; one exact elimination gives rows 2 .. 5.
+    assert eliminations == [0, 0, 1, 1, 1, 1]
+    assert calls == [True]
     assert rows == [(hankel_P(seq, n), hankel_Q(seq, n)) for n in range(6)]
+    assert rows == [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
+                     cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(6)]
 
 
 def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_file):
@@ -156,33 +117,18 @@ def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_fi
     assert len(outputs[0].splitlines()) == 7
 
 
-def test_arrow_det_matches_general_route():
-    rows = [
-        [Fraction(3), Fraction(1, 2), Fraction(-2), Fraction(5)],
-        [Fraction(1), Fraction(4), 0, 0],
-        [Fraction(-3), 0, Fraction(2, 3), 0],
-        [Fraction(7), 0, 0, Fraction(-5)],
-    ]
-    assert arrow_det(rows) == det_rational(rows) == cofactor_det(rows)
-
-
-def test_arrow_det_random_sweep():
-    rng = random.Random(192837)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            rows[0][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        for i in range(1, n):
-            rows[i][0] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            rows[i][i] = Fraction(rng.choice([x for x in range(-9, 10) if x]), 1)
-        assert arrow_det(rows) == det_rational(rows)
-
-
-def test_arrow_det_shape_checks():
-    with pytest.raises(ArrowShapeViolation):
-        arrow_det([[1, 2, 3], [4, 5, 6], [7, 0, 9]])
-    with pytest.raises(ZeroDiagonal):
-        arrow_det([[1, 2], [3, 0]])
-    # 1x1 arrows are trivially valid
-    assert arrow_det([[7]]) == 7
+@pytest.mark.parametrize("family, k, top", [
+    ("gamma", None, 6), ("gompertz", None, 6), ("zeta", 2, 6), ("zeta", 3, 6),
+    ("factorial", None, 6), ("symmetric", None, 5)])
+def test_monotonicity_identity(family, k, top):
+    # P_n Q_{n-1} - P_{n-1} Q_n = (H^(1)_{n+1})^2, so A_n - A_{n-1} >= 0
+    # whenever the Q's are positive: the paper's monotonicity. SYMMETRIC's
+    # twelve moments reach n = 5.
+    seq = (MomentSequence(family, values=SYMMETRIC) if family == "symmetric"
+           else family_sequence(family, k))
+    swept = list(hankel_sweep(seq, top))
+    eliminated = list(hankel._eliminate(seq.moment, Fraction.__truediv__, top))
+    for pairs in (swept, eliminated):
+        for n in range(1, top + 1):
+            (P0, Q0), (P1, Q1) = pairs[n - 1], pairs[n]
+            assert P1 * Q0 - P0 * Q1 == cofactor_det(hankel_matrix(seq, 1, n + 1)) ** 2, n

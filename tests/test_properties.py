@@ -1,6 +1,6 @@
 """Property tests: the recurrence and the determinant sweep against the
-per-n determinant route, and the driver's walk on each route against the
-others.
+per-n determinant route, the bordered elimination against cofactor
+expansion, and the driver's walk on each route against the others.
 
 Inputs are short random rational sequences, which are mostly not positive
 definite, and the moments a_j = sum_i w_i x_i^j of random discrete
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hankel_approx import driver
+from hankel_approx import driver, hankel
 from hankel_approx.driver import CHECK_PRIME, _walk
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_sweep
@@ -27,6 +27,7 @@ from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
 from .conftest import skew_rows
+from .oracles import cofactor_det, hankel_matrix
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 
@@ -135,6 +136,20 @@ def test_sweep_equals_per_index_determinants(case):
     expected, first_bad = determinant_run(per_index_rows(seq, n_max))
     assert failed_at == first_bad
     assert rows == expected
+
+
+@small_and_fast
+@given(st.one_of(random_sequences(), measure_moments(), symmetric_measures()))
+def test_elimination_matches_cofactor_expansion(case):
+    # Every pair the bordered elimination yields is exact; it stops only
+    # after a pivot Q_n = 0.
+    seq, n_max = case
+    n_max = min(n_max, 4)
+    pairs = list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max))
+    expected = [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
+                 cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(n_max + 1)]
+    stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
+    assert pairs == expected[:stop]
 
 
 def walk_run(seq, n_max, method):
