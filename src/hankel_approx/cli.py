@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     PositivityViolation,
 )
-from .exactnum import DEFAULT_DIGITS, format_rational
+from .exactnum import DEFAULT_DIGITS, MAX_DIGITS, format_rational
 from .moments import FAMILIES, family_sequence
 
 EXIT_VALIDATION = 2
@@ -29,9 +29,6 @@ EXIT_IO = 4
 
 # CLI-only guard: (i+1)^k growth makes huge k useless interactively.
 MAX_CLI_K = 64
-# One str() of the decimal column's integer takes time quadratic in its
-# digits in CPython, so larger requests are refused before any work starts.
-MAX_DIGITS = 100_000
 
 
 def family_options(fn):
@@ -54,6 +51,8 @@ def _check_family_args(family, k, moments_file):
         raise click.UsageError("--k only applies to --family zeta")
     if family == "custom" and not moments_file:
         raise click.UsageError("--family custom requires --moments-file")
+    if family != "custom" and moments_file is not None:
+        raise click.UsageError("--moments-file only applies to --family custom")
 
 
 def _exit(message, code: int):
@@ -77,8 +76,10 @@ def main():
 @family_options
 @click.option("--n-max", type=click.IntRange(min=0), required=True,
               help="Highest approximant index to compute.")
-@click.option("--method", type=click.Choice(METHODS), default=None,
-              help="Engine; defaults to both for built-ins, ortho for custom.")
+@click.option("--method", type=click.Choice(METHODS), default="both",
+              show_default=True,
+              help="det: exact determinants, unchecked; both: exact recurrence, "
+                   "checked against the determinants mod 2^61 - 1.")
 @click.option("--digits", type=click.IntRange(min=1, max=MAX_DIGITS),
               default=DEFAULT_DIGITS, show_default=True,
               help="Fractional digits in the decimal column.")

@@ -4,17 +4,17 @@ The driver walks n = 0 .. n_max for a moment sequence, producing one
 ApproximantRecord per index. Each route is one pass over the moments: the
 determinant sweep (``hankel_sweep``, a condensation table) and the
 recurrence (``ortho_sweep``, a mixed-moment table). One walk serves both
-``approx`` and ``validate``: with ``method="both"`` the two routes advance
-in lock step, and at every index the recurrence's (A_n N_n, N_n), where
-N_n is the running product of its squared norms, must equal the
-determinants' (P_n, Q_n); a disagreement aborts the run. ``validate``
-compares the two pairs exactly. ``approx`` compares them mod the prime
-CHECK_PRIME = 2^61 - 1 and runs the determinant table mod that prime only
-(``hankel_residues``), so its cost is close to the recurrence's alone; a
-wrong exact pair escapes it only if the prime divides the numerators of
-both differences to the true pair. A row the residues cannot form (a
-pivot or moment denominator that the prime divides) and every later one
-are compared exactly.
+``approx`` and ``validate``: with ``method="both"``, every family's
+default, the two routes advance in lock step, and at every index the
+recurrence's (A_n N_n, N_n), where N_n is the running product of its
+squared norms, must equal the determinants' (P_n, Q_n); a disagreement
+aborts the run. ``validate`` compares the two pairs exactly. ``approx``
+compares them mod the prime CHECK_PRIME = 2^61 - 1 and runs the
+determinant table mod that prime only (``hankel_residues``), so its cost
+is close to the recurrence's alone; a wrong exact pair escapes it only if
+the prime divides the numerators of both differences to the true pair. A
+row the residues cannot form (a pivot or moment denominator that the
+prime divides) and every later one are compared exactly.
 
 ``run_convergence`` (``approx``) returns the records and ``cross_validate``
 (``validate``) the check lines, as (name, passed, detail) tuples. Both take
@@ -48,7 +48,7 @@ from .orthopoly import ortho_sweep
 
 ELIDE_THRESHOLD = 40  # table cells longer than this print as "-" unless exact
 
-METHODS = ("det", "ortho", "both")
+METHODS = ("det", "both")
 FORMATS = ("table", "csv", "json")
 
 # approx's default check compares both routes mod this fixed (Mersenne) prime.
@@ -85,7 +85,8 @@ def _determinant_checks(seq, n_max: int, exact: bool):
 
 
 def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
-    """Records for n = 0 .. n_max from one route, or from both in lock step.
+    """Records for n = 0 .. n_max from the determinant sweep alone ("det"),
+    or from both routes in lock step ("both").
 
     With "both" the recurrence produces every record, and at each n its
     (A_n N_n, N_n) must equal the determinants' (P_n, Q_n), which checks
@@ -106,8 +107,7 @@ def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
     if method == "both":
         rows = zip(ortho_sweep(seq, n_max), _determinant_checks(seq, n_max, exact))
     else:
-        route = hankel_sweep if method == "det" else ortho_sweep
-        rows = ((pair, None) for pair in route(seq, n_max))
+        rows = ((pair, None) for pair in hankel_sweep(seq, n_max))
 
     records = []
     try:
@@ -129,18 +129,9 @@ def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
 
 
 def run_convergence(family: str, n_max: int, k: int | None = None,
-                    method: str | None = None, moments_file: str | None = None) -> list:
-    """Records for n = 0 .. n_max, in order.
-
-    ``method=None`` means "ortho" for custom sequences and "both" otherwise.
-    Cost does not call for the custom default: past a zero divisor of the
-    determinant table both sweeps continue by an O(N^3) elimination. It is
-    kept because JSON rows name their method.
-    """
-    seq = family_sequence(family, k, moments_file)
-    if method is None:
-        method = "ortho" if family == "custom" else "both"
-    return _walk(seq, n_max, method)
+                    method: str = "both", moments_file: str | None = None) -> list:
+    """Records for n = 0 .. n_max, in order."""
+    return _walk(family_sequence(family, k, moments_file), n_max, method)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
 
 DEFAULT_DIGITS = 10
+# The ceiling on --digits and on a moment file's reference decimal: str()
+# and int() of a digit string take time quadratic in its length in
+# CPython, so longer requests are refused before any conversion.
+MAX_DIGITS = 100_000
 
 _RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z")
 _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")

@@ -29,7 +29,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from .errors import IndexOutOfRange, ParseError
-from .exactnum import parse_decimal, parse_rational
+from .exactnum import MAX_DIGITS, parse_decimal, parse_rational
 
 FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")
 
@@ -174,7 +174,8 @@ def load_moments(path) -> MomentSequence:
 
     ``a`` lists a_1 first (a_0 must not appear) using the rational text
     grammar; ``reference`` is an optional decimal string for the target
-    constant. Malformed entries (also one past the int/str digit limit)
+    constant, stored without surrounding whitespace and at most MAX_DIGITS
+    characters long. Malformed entries (also one past the int/str digit limit)
     raise ParseError pointing at the offending token, as does a file that is
     not UTF-8, too deep for the JSON parser or holds a number literal past
     that limit; a moment past the end of ``a`` raises IndexOutOfRange.
@@ -217,10 +218,13 @@ def load_moments(path) -> MomentSequence:
         if not isinstance(reference, str):
             raise ParseError('"reference" must be a decimal string')
         try:
+            if len(reference.strip()) > MAX_DIGITS:  # before int(), quadratic in it
+                raise ParseError(f"longer than {MAX_DIGITS} characters")
             parse_decimal(reference)
         except ParseError as exc:
             line, column = _position_of(raw, reference)
             raise ParseError(f"reference: {exc}", line=line, column=column) from exc
+        reference = reference.strip()  # as parse_decimal reads it; validate counts its digits
     return MomentSequence(name, values=values, reference=reference)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from hankel_approx import driver, hankel, orthopoly
+from hankel_approx.driver import ApproximantRecord
+from hankel_approx.errors import IndexOutOfRange, OrthogonalityLost, PositivityViolation
 from hankel_approx.moments import (
     factorial_sequence,
     gamma_sequence,
@@ -68,6 +70,20 @@ def skewed_alpha_1(monkeypatch):
         return (alpha + 1 if k == 1 else alpha), beta
 
     monkeypatch.setattr(orthopoly, "_coefficients", skewed)
+
+
+def ortho_records(seq, n_max: int) -> list:
+    """Records for n = 0 .. n_max from ``ortho_sweep`` read directly: the
+    recurrence alone, with no determinant check and no gap. An abortive
+    error carries the records before it, as from the driver's walk."""
+    records = []
+    try:
+        for n, (P, Q) in enumerate(orthopoly.ortho_sweep(seq, n_max)):
+            records.append(ApproximantRecord(n, P, Q, P / Q, None, "ortho"))
+    except (IndexOutOfRange, OrthogonalityLost, PositivityViolation) as exc:
+        exc.records = records
+        raise
+    return records
 
 
 def record_coefficients(monkeypatch) -> list:

@@ -13,11 +13,12 @@ from click.testing import CliRunner
 import hankel_approx
 from hankel_approx import hankel
 from hankel_approx.cli import MAX_DIGITS, main
-from hankel_approx.driver import CHECK_PRIME
+from hankel_approx.driver import CHECK_PRIME, emit
+from hankel_approx.errors import PositivityViolation
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import load_moments
 
-from .conftest import record_eliminations
+from .conftest import ortho_records, record_eliminations
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -73,7 +74,7 @@ def test_approx_json_roundtrips(runner):
 
 
 def test_approx_exact_flag(runner):
-    args = ["approx", "--family", "gompertz", "--n-max", "21", "--method", "ortho"]
+    args = ["approx", "--family", "gompertz", "--n-max", "21"]
     elided = runner.invoke(main, args)
     assert elided.exit_code == 0
     last = elided.output.splitlines()[-1]
@@ -187,7 +188,7 @@ def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
     ('{"name": "x", "a": ["' + "1" * 2_000_001 + '"]}',
      "error: moment a_1: number has more than 2000000 digits (line 1, column 21)\n"),
     ('{"name": "x", "a": ["1"], "reference": "0.' + "1" * 2_000_000 + '"}',
-     "error: reference: number has more than 2000000 digits (line 1, column 40)\n"),
+     "error: reference: longer than 100000 characters (line 1, column 40)\n"),
     ('{"name": "x", "a": [' + "1" * 2_000_001 + "]}",
      "error: invalid moment file: a number has more than 2000000 digits\n"),
     ('{"name": ' + "1" * 2_000_001 + ', "a": ["1"]}',
@@ -264,25 +265,29 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
     # from n = 2 on, so both determinant sweeps continue by elimination:
     # the residues through n = 8, where Q_8 = 0 ends them, and the exact
     # sweep in det. Its eight nodes make the form definite through degree 7
-    # only.
+    # only. The recurrence, read directly, must give the same rows.
     nodes, weights = (Fraction(1, 2), 1, Fraction(3, 2), 2), (1, 2, Fraction(1, 3), Fraction(1, 5))
     a = [sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes)) for j in range(1, 19)]
     path = write_moments_file("symmetric", [str(v) for v in a])
     assert len(list(hankel_residues(load_moments(path), 8, CHECK_PRIME))) == 9
     calls = record_eliminations(monkeypatch)
     runs, eliminations = {}, {}
-    for method in ("det", "both", "ortho"):
+    for method in ("det", "both", None):
         before = len(calls)
         runs[method] = runner.invoke(main, [
             "approx", "--family", "custom", "--moments-file", str(path),
-            "--n-max", "8", "--format", "csv", "--method", method])
+            "--n-max", "8", "--format", "csv"] + (["--method", method] if method else []))
         eliminations[method] = calls[before:]
+    with pytest.raises(PositivityViolation) as excinfo:
+        ortho_records(load_moments(path), 8)
+    ortho = emit(excinfo.value.records, "csv") + "\n"
     assert [res.exit_code for res in runs.values()] == [3, 3, 3]
-    assert runs["det"].stdout == runs["both"].stdout == runs["ortho"].stdout
+    assert runs["det"].stdout == runs["both"].stdout == runs[None].stdout == ortho
     assert [line.split(",")[0] for line in runs["det"].stdout.splitlines()[1:]] == [
         str(n) for n in range(8)]
-    # True marks an exact elimination, False one mod the check prime.
-    assert eliminations == {"det": [True], "both": [False], "ortho": []}
+    # True marks an exact elimination, False one mod the check prime; the
+    # default makes the one mod the prime and no exact one.
+    assert eliminations == {"det": [True], "both": [False], None: [False]}
 
     args = ["validate", "--family", "custom", "--moments-file", str(path), "--n-max"]
     res = runner.invoke(main, args + ["7"])
@@ -304,11 +309,21 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
         ["approx", "--family", "custom", "--n-max", "2"],
         ["approx", "--family", "gompertz"],
         ["approx", "--family", "gompertz", "--n-max", "-1"],
+        ["approx", "--family", "gamma", "--n-max", "1", "--method", "ortho"],
+        ["approx", "--family", "gamma", "--n-max", "1", "--moments-file", "/nonexistent.json"],
+        ["validate", "--family", "zeta", "--k", "2", "--n-max", "1",
+         "--moments-file", "/nonexistent.json"],
+        ["moments", "--family", "factorial", "--count", "1",
+         "--moments-file", "/nonexistent.json"],
+        ["approx", "--family", "gompertz", "--n-max", "1", "--moments-file", ""],
     ],
 )
 def test_usage_errors_exit_2(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
+    assert res.stdout == ""
+    if "--moments-file" in args:  # a built-in family with a moment file, named
+        assert res.stderr.endswith("Error: --moments-file only applies to --family custom\n")
 
 
 def test_moments_json_feeds_back_as_moments_file(runner, tmp_path):
@@ -397,6 +412,45 @@ def test_validate_reference_bound_reads_the_last_digit(runner, write_moments_fil
     )
     assert res.exit_code == code
     assert res.output.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("spelling", ["0.5714285 ", "0.5714285\n", " 0.5714285"],
+                         ids=["trailing-space", "trailing-newline", "leading-space"])
+def test_reference_whitespace_changes_no_output(runner, write_moments_file, spelling):
+    # The stored reference is the decimal parse_decimal reads: whitespace
+    # around it neither adds a digit to the reference bound nor is echoed.
+    # With a trailing space the bound would fall one digit further down and
+    # fail, as "above" does in the test before this one.
+    outputs = []
+    for reference in ("0.5714285", spelling):
+        path = write_moments_file("mine", ["1", "2", "5", "16"], reference=reference)
+        custom = ["--family", "custom", "--moments-file", str(path)]
+        outputs.append([(res.exit_code, res.stdout, res.stderr) for res in (
+            runner.invoke(main, ["validate", *custom, "--n-max", "1"]),
+            runner.invoke(main, ["moments", *custom, "--count", "4"]))])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][:2] == (0, (
+        "PASS engine-agreement: determinant and recurrence paths equal for n <= 1\n"
+        "PASS norm-factorization: Q_n equals the product of squared norms for n <= 1\n"
+        "PASS positive-Q: Q_n > 0 for n <= 1\n"
+        "PASS monotone: approximants nondecreasing for n <= 1\n"
+        "PASS reference-bound: every approximant is strictly below 0.5714286, one unit "
+        "above 0.5714285 in its last digit; the first at or above 0.5714285 is n = 1\n"))
+    assert json.loads(outputs[0][1][1])["reference"] == "0.5714285"
+
+
+def test_reference_longer_than_the_digit_ceiling_is_a_parse_error(runner, write_moments_file):
+    # The length is checked before the quadratic int() of the digits, so the
+    # file is refused at once; the error line does not echo the reference.
+    path = write_moments_file("mine", ["1", "2", "5", "16"],
+                              reference="0." + "1" * (MAX_DIGITS - 1))
+    custom = ["--family", "custom", "--moments-file", str(path)]
+    for command in (["approx", "--n-max", "1"], ["validate", "--n-max", "1"],
+                    ["moments", "--count", "1"]):
+        res = runner.invoke(main, command + custom)
+        assert (res.exit_code, res.stdout) == (4, "")
+        assert res.stderr == (f"error: reference: longer than {MAX_DIGITS} characters "
+                              "(line 1, column 59)\n")
 
 
 def test_validate_reports_engine_mismatch(runner, skew_sweep):

@@ -25,8 +25,14 @@ from hankel_approx.errors import (
 )
 from hankel_approx.exactnum import rat_to_decimal
 from hankel_approx.hankel import hankel_residues
-from hankel_approx.moments import ReferenceConstant, gompertz_sequence
+from hankel_approx.moments import (
+    ReferenceConstant,
+    gompertz_sequence,
+    load_moments,
+    zeta_sequence,
+)
 
+from .conftest import ortho_records
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -54,7 +60,7 @@ def test_run_convergence_default_method(write_moments_file):
     assert {r.method for r in det} == {"det"}
     path = write_moments_file("mine", ["1", "2", "5", "16"])
     custom = run_convergence(family="custom", n_max=1, moments_file=str(path))
-    assert {r.method for r in custom} == {"ortho"}
+    assert {r.method for r in custom} == {"both"}
 
 
 def test_run_convergence_matches_known_rows():
@@ -77,7 +83,7 @@ def test_run_convergence_gaps_shrink():
 
 def test_run_convergence_methods_agree():
     det = run_convergence(family="zeta", k=3, n_max=5, method="det")
-    ortho = run_convergence(family="zeta", k=3, n_max=5, method="ortho")
+    ortho = ortho_records(zeta_sequence(3), 5)
     assert [r.value for r in det] == [r.value for r in ortho]
     assert [(r.P, r.Q) for r in det] == [(r.P, r.Q) for r in ortho]
 
@@ -104,11 +110,15 @@ def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
     assert [r.n for r in excinfo.value.records] == [0]
 
 
-@pytest.mark.parametrize("method", ["ortho", "det"])
+@pytest.mark.parametrize("method", ["ortho", "det", "both"])
 def test_run_convergence_short_file_carries_records(write_moments_file, method):
+    # "ortho" reads the recurrence directly, which must stop the same way.
     path = write_moments_file("short", ["1", "2", "5", "16"])
     with pytest.raises(IndexOutOfRange) as excinfo:
-        run_convergence(family="custom", n_max=3, method=method, moments_file=str(path))
+        if method == "ortho":
+            ortho_records(load_moments(path), 3)
+        else:
+            run_convergence(family="custom", n_max=3, method=method, moments_file=str(path))
     assert (excinfo.value.requested, excinfo.value.available) == (5, 4)
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
@@ -152,8 +162,8 @@ def test_default_walk_compares_exactly_from_the_first_row_the_prime_cannot_form(
     monkeypatch.setattr(driver, "CHECK_PRIME", 7)
     assert len(list(hankel_residues(gompertz_sequence(), 6, 7))) == 2
     skew_sweep(1, lambda P, Q: (P + 1, Q))
-    both, ortho = (run_convergence(family="gompertz", n_max=6, method=method)
-                   for method in ("both", "ortho"))
+    both = run_convergence(family="gompertz", n_max=6)
+    ortho = ortho_records(gompertz_sequence(), 6)
     assert [(r.n, r.P, r.Q) for r in both] == [(r.n, r.P, r.Q) for r in ortho]
     skew_sweep(4, lambda P, Q: (P, Q + 1))  # on top of the row-1 change
     with pytest.raises(EngineMismatch) as excinfo:
@@ -164,7 +174,7 @@ def test_default_walk_compares_exactly_from_the_first_row_the_prime_cannot_form(
 
 def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
     with pytest.raises(OrthogonalityLost) as excinfo:
-        run_convergence(family="gompertz", n_max=4, method="ortho")
+        run_convergence(family="gompertz", n_max=4)
     assert excinfo.value.degree == 2
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
@@ -177,7 +187,7 @@ def test_compare_reference():
 
 
 def test_emit_table_elides_large_rationals():
-    records = run_convergence(family="gompertz", n_max=21, method="ortho")
+    records = run_convergence(family="gompertz", n_max=21)
     big = records[-1]
     decimal = rat_to_decimal(big.value)
     assert len(str(big.value)) > ELIDE_THRESHOLD

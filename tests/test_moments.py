@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hankel_approx.errors import IndexOutOfRange, ParseError
+from hankel_approx.exactnum import MAX_DIGITS
 from hankel_approx.moments import (
     FAMILIES,
     MomentSequence,
@@ -143,6 +144,16 @@ def test_load_moments_roundtrip(write_moments_file):
     assert seq.name == "mine"
     assert seq.moments(4) == [1, 2, 5, Fraction(31, 6)]
     assert seq.reference.as_fraction() == Fraction(5963473623, 10**10)
+
+
+def test_load_moments_stores_the_reference_stripped_up_to_the_ceiling(write_moments_file):
+    # Whitespace does not count toward the MAX_DIGITS characters and is
+    # not stored; one character more is refused before int() sees it.
+    at_ceiling = "0." + "1" * (MAX_DIGITS - 2)
+    seq = load_moments(write_moments_file("mine", ["1"], reference=f"\n {at_ceiling}\t "))
+    assert seq.reference.decimal == at_ceiling
+    with pytest.raises(ParseError, match=f"^reference: longer than {MAX_DIGITS} characters"):
+        load_moments(write_moments_file("mine", ["1"], reference=at_ceiling + "1"))
 
 
 def test_load_moments_without_reference(write_moments_file):

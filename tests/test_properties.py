@@ -1,6 +1,7 @@
 """Property tests: the recurrence and the determinant sweep against the
 per-n determinant route, the bordered elimination against cofactor
-expansion, and the driver's walk on each route against the others.
+expansion, and the driver's walk on each method against the recurrence
+read directly.
 
 Inputs are short random rational sequences, which are mostly not positive
 definite, and the moments a_j = sum_i w_i x_i^j of random discrete
@@ -26,7 +27,7 @@ from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_swe
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import skew_rows
+from .conftest import ortho_records, skew_rows
 from .oracles import cofactor_det, hankel_matrix
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
@@ -152,10 +153,13 @@ def test_elimination_matches_cofactor_expansion(case):
     assert pairs == expected[:stop]
 
 
-def walk_run(seq, n_max, method):
-    """The driver walk's (n, P, Q, value) rows, and the n it stopped at or None."""
+def walk_run(seq, n_max, route):
+    """The (n, P, Q, value) rows of the driver walk by ``route`` ("det" or
+    "both"), or of ``ortho_sweep`` read directly ("ortho"), and the n the
+    run stopped at or None."""
     try:
-        records, stop = _walk(seq, n_max, method), None
+        records = ortho_records(seq, n_max) if route == "ortho" else _walk(seq, n_max, route)
+        stop = None
     except PositivityViolation as exc:
         records, stop = exc.records, exc.index
     except NonPositiveQ as exc:
@@ -170,7 +174,7 @@ all_sequences = st.one_of(random_sequences(), measure_moments(), symmetric_measu
 @given(all_sequences)
 def test_walk_gives_the_same_rows_on_every_route(case):
     seq, n_max = case
-    det, ortho, both = (walk_run(seq, n_max, method) for method in ("det", "ortho", "both"))
+    det, ortho, both = (walk_run(seq, n_max, route) for route in ("det", "ortho", "both"))
     assert det == ortho == both
 
 
@@ -182,7 +186,7 @@ def test_walk_gives_the_same_rows_when_the_check_prime_is_small(case):
     seq, n_max = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(driver, "CHECK_PRIME", 7)
-        det, ortho, both = (walk_run(seq, n_max, method) for method in ("det", "ortho", "both"))
+        det, ortho, both = (walk_run(seq, n_max, route) for route in ("det", "ortho", "both"))
     assert det == ortho == both
 
 

@@ -2,9 +2,11 @@
 
 Every ``$ hankel-approx ...`` block that needs no input file is invoked
 through click's test runner and must print exactly the lines the README
-shows, with exit code 0. The Python library block is executed and must
-print the value its trailing comment gives, and the names the README
-lists as exported must be exactly the package's ``__all__``.
+shows, with exit code 0. The one block that reads a moment file runs on
+the file contents the README states and must print its rows, then its
+``error:`` line, with exit code 3. The Python library block is executed
+and must print the value its trailing comment gives, and the names the
+README lists as exported must be exactly the package's ``__all__``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ CLI_EXAMPLES = [
     for _, body in BLOCKS
     if body.startswith("$ hankel-approx ") and "--moments-file" not in body
 ]
+FILE_EXAMPLES = [
+    (body.splitlines()[0][2:], body.splitlines()[1:])
+    for _, body in BLOCKS
+    if body.startswith("$ hankel-approx ") and "--moments-file" in body
+]
 PYTHON_BLOCKS = [body for lang, body in BLOCKS if lang == "python"]
 
 
@@ -45,6 +52,20 @@ def test_cli_example(command, expected):
     res = CliRunner().invoke(main, argv[1:])
     assert res.exit_code == 0, res.output
     assert res.stdout == expected
+
+
+def test_file_example(tmp_path, monkeypatch):
+    [(command, lines)] = FILE_EXAMPLES
+    argv = shlex.split(command)
+    name = argv[argv.index("--moments-file") + 1]
+    stated = re.search(rf"`{re.escape(name)}` holding.*?```json\n(.*?)```", README, re.S)
+    (tmp_path / name).write_text(stated.group(1))
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(main, argv[1:])
+    assert res.exit_code == 3
+    assert res.stdout == "\n".join(lines[:-1]) + "\n"
+    assert res.stderr == lines[-1] + "\n"
+    assert res.stderr.startswith("error: ")
 
 
 def test_library_example():
