@@ -30,6 +30,10 @@ and column per n, O(n^2) operations per step. Its pivots are Q_0, Q_1, ...,
 so it never searches for one. ``hankel_P`` and ``hankel_Q`` read the last
 pair of one such run.
 
+On integer moments every division in both algorithms is exact
+(Sylvester's identity), so the exact route keeps integral moments and
+quotients as Python ints and turns each pair it yields into Fractions.
+
 ``hankel_residues`` runs the same two algorithms on the moments reduced
 mod a prime p, dividing by modular inverses: its entries stay below p
 however large the exact determinants grow. A moment whose denominator p
@@ -113,9 +117,27 @@ def _rows(moment, divide, n_max: int) -> Iterator[tuple]:
         yield from islice(_eliminate(moment, divide, n_max), done, None)
 
 
+def _whole(x: Fraction) -> int | Fraction:
+    """The moment x as an int when it is one."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(x, d):
+    """The exact quotient x / d: an int when d divides x and both are ints."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        return Fraction(x, d) if r else q
+    return x / d
+
+
 def _exact(rows, seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """``rows`` over the rationals, raising NonPositiveQ at the first Q_n <= 0."""
-    for n, (P, Q) in enumerate(rows(seq.moment, Fraction.__truediv__, n_max)):
+    """``rows`` over the rationals, raising NonPositiveQ at the first Q_n <= 0.
+
+    Integral entries stay ints inside ``rows``; each pair leaves as
+    Fractions, since int / int would be a float.
+    """
+    for n, (P, Q) in enumerate(rows(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
+        P, Q = Fraction(P), Fraction(Q)
         if Q <= 0:
             raise NonPositiveQ(n, Q)
         yield P, Q

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -105,7 +104,7 @@ def record_eliminations(monkeypatch) -> list:
     exact, recorded = hankel._eliminate, []
 
     def recording(moment, divide, n_max):
-        recorded.append(divide is Fraction.__truediv__)
+        recorded.append(divide is hankel._quotient)
         return exact(moment, divide, n_max)
 
     monkeypatch.setattr(hankel, "_eliminate", recording)

@@ -218,3 +218,21 @@ def test_default_walk_makes_no_exact_determinant_call(det_sweeps, monkeypatch):
         assert [r.n for r in records] == list(range(top + 1)), family
         assert [(r.P, r.Q) for r in records[:len(det_sweeps[family])]] == det_sweeps[family]
     assert (sweep_rows, det_calls) == ([], [])
+
+
+def test_integer_moments_keep_the_exact_sweep_on_ints(sequences, monkeypatch):
+    # Integer moments give integer determinants and exact integer
+    # quotients: every divide of the exact sweep takes two ints and
+    # returns an int, so no Fraction division creeps back in.
+    exact, operands = hankel._quotient, []
+
+    def recording(x, d):
+        q = exact(x, d)
+        operands.append((type(x), type(d), type(q)))
+        return q
+
+    monkeypatch.setattr(hankel, "_quotient", recording)
+    for family, top in (("factorial", 35), ("gompertz", 48)):
+        operands.clear()
+        assert len(list(hankel_sweep(sequences[family], top))) == top + 1
+        assert len(operands) > top and set(operands) == {(int, int, int)}, family

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from hankel_approx import hankel
 from hankel_approx.cli import main
-from hankel_approx.driver import emit
+from hankel_approx.driver import _walk, emit
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import MomentSequence, family_sequence, load_moments
@@ -55,6 +55,17 @@ def test_det_fraction_free_known_values():
                           cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(len(pairs))]
 
 
+def test_exact_quotient():
+    # Two ints give an int when the divisor divides, the exact Fraction
+    # otherwise; a Fraction on either side gives a Fraction.
+    for x, d, expected in ((-12, 4, -3), (7, 2, Fraction(7, 2)), (7, -2, Fraction(-7, 2)),
+                           (Fraction(7, 2), 7, Fraction(1, 2)), (3, Fraction(3, 2), Fraction(2))):
+        q = hankel._quotient(x, d)
+        assert (q, type(q)) == (expected, type(expected)), (x, d)
+    assert hankel._whole(Fraction(6)) == 6 and type(hankel._whole(Fraction(6))) is int
+    assert hankel._whole(Fraction(1, 6)) == Fraction(1, 6)
+
+
 def test_hankel_P_and_Q_small(gompertz_seq):
     # P_0 = -det [[0, a1], [a1, a2]] = a1^2, Q_0 = a2
     assert hankel_P(gompertz_seq, 0) == 1
@@ -78,6 +89,7 @@ def test_hankel_Q_rejects_nonpositive():
             with pytest.raises(NonPositiveQ) as excinfo:
                 determinant(seq, n)
             assert (excinfo.value.n, excinfo.value.value) == (1, 0)
+            assert type(excinfo.value.value) is Fraction
 
 
 # Weights 1, 2, 3 at the nodes +-1, +-2, +-3: the odd moments vanish, so
@@ -115,6 +127,21 @@ def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_fi
     outputs = [res.output, emit(ortho_records(load_moments(path), 5), "csv") + "\n"]
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 7
+
+
+@pytest.mark.parametrize("source", ["factorial", "gompertz", "custom"])
+def test_exact_route_returns_fractions_on_integer_moments(source, write_moments_file):
+    # Integral entries stay ints inside the exact route, but every P, Q
+    # and value it returns is a Fraction: int / int would be a float.
+    if source == "custom":  # integer moments with zero divisors: rows 2 .. 5 by elimination
+        seq = load_moments(write_moments_file("integers", [str(a) for a in SYMMETRIC]))
+    else:
+        seq = family_sequence(source, None)
+    values = [x for pair in hankel_sweep(seq, 5) for x in pair]
+    values += [hankel_P(seq, 5), hankel_Q(seq, 5)]
+    values += [x for r in _walk(seq, 5, "det") for x in (r.P, r.Q, r.value)]
+    assert len(values) == 12 + 2 + 18
+    assert {type(x) for x in values} == {Fraction}
 
 
 @pytest.mark.parametrize("family, k, top", [

@@ -8,8 +8,11 @@ definite, and the moments a_j = sum_i w_i x_i^j of random discrete
 measures, which are positive definite below the number of nodes when every
 weight is positive and nonzero nodes are distinct. The sweep also gets
 symmetric measures, whose odd moments vanish and put zero divisors in its
-condensation table, and so does the walk. Each sequence holds exactly the
-moments a_1 .. a_{2N+2} that n = 0 .. N need.
+condensation table, and so does the walk. Integer sequences, mixed
+sequences and symmetric measures with integer nodes and weights hold the
+sweep and the elimination to cofactor expansion where the exact route
+keeps its entries as ints. Each sequence holds exactly the moments
+a_1 .. a_{2N+2} that n = 0 .. N need.
 """
 
 from __future__ import annotations
@@ -65,7 +68,38 @@ def symmetric_measures(draw):
     return MomentSequence("symmetric", values=a), n_max
 
 
+@st.composite
+def integer_sequences(draw):
+    """Integer moments: the exact route stays on ints throughout."""
+    n_max = draw(st.integers(0, 4))
+    a = draw(st.lists(st.integers(-12, 12), min_size=2 * n_max + 2, max_size=2 * n_max + 2))
+    return MomentSequence("integer", values=[Fraction(v) for v in a]), n_max
+
+
+@st.composite
+def mixed_sequences(draw):
+    """Some moments integral, some not, so ints and Fractions meet."""
+    n_max = draw(st.integers(0, 4))
+    entries = st.one_of(st.integers(-12, 12).map(Fraction), small_rationals)
+    a = draw(st.lists(entries, min_size=2 * n_max + 2, max_size=2 * n_max + 2))
+    return MomentSequence("mixed", values=a), n_max
+
+
+@st.composite
+def integer_symmetric_measures(draw):
+    """Integer weights at integer nodes +-x: the odd moments are 0, so the
+    sweep reaches the bordered elimination with every entry an int."""
+    nodes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    weights = [draw(st.integers(1, 6)) for _ in nodes]
+    n_max = draw(st.integers(2, 4))
+    a = [Fraction(sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes)))
+         for j in range(1, 2 * n_max + 3)]
+    return MomentSequence("integer symmetric", values=a), n_max
+
+
 sequences = st.one_of(random_sequences(), measure_moments())
+integral_sequences = st.one_of(integer_sequences(), mixed_sequences(),
+                               integer_symmetric_measures())
 small_and_fast = settings(max_examples=150, deadline=None)
 
 
@@ -149,6 +183,39 @@ def test_elimination_matches_cofactor_expansion(case):
     pairs = list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max))
     expected = [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                  cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(n_max + 1)]
+    stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
+    assert pairs == expected[:stop]
+
+
+def cofactor_pairs(seq, n_max):
+    """(P_n, Q_n) for n = 0 .. n_max by cofactor expansion."""
+    return [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
+             cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(n_max + 1)]
+
+
+@small_and_fast
+@given(integral_sequences)
+def test_sweep_matches_cofactor_expansion_on_integral_moments(case):
+    # The sweep yields every pair up to the first Q_n <= 0, then raises;
+    # each as Fractions, though the table holds ints inside.
+    seq, n_max = case
+    rows, failed_at = determinant_run(hankel_sweep(seq, n_max))
+    expected = cofactor_pairs(seq, n_max)
+    stop = next((n for n, (_, Q) in enumerate(expected) if Q <= 0), None)
+    assert failed_at == stop
+    assert rows == expected[:stop]
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@small_and_fast
+@given(integral_sequences)
+def test_integer_elimination_matches_cofactor_expansion(case):
+    # The bordered elimination as the exact route runs it: integral
+    # moments as ints, divided by the exact quotient.
+    seq, n_max = case
+    pairs = list(hankel._eliminate(lambda j: hankel._whole(seq.moment(j)),
+                                   hankel._quotient, n_max))
+    expected = cofactor_pairs(seq, n_max)
     stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
     assert pairs == expected[:stop]
 
