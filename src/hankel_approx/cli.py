@@ -41,7 +41,17 @@ def family_options(fn):
     return fn
 
 
-def _check_family_args(family, k, moments_file):
+def _exit(message, code: int):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
+def _sequence(family, k, moments_file):
+    """The moment sequence the family options name.
+
+    A combination of options that does not fit the family is a usage error
+    (exit 2); a moment file that cannot be read or parsed exits 4.
+    """
     if family == "zeta":
         if k is None:
             raise click.UsageError("--family zeta requires --k")
@@ -53,11 +63,10 @@ def _check_family_args(family, k, moments_file):
         raise click.UsageError("--family custom requires --moments-file")
     if family != "custom" and moments_file is not None:
         raise click.UsageError("--moments-file only applies to --family custom")
-
-
-def _exit(message, code: int):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    try:
+        return family_sequence(family, k, moments_file)
+    except (ParseError, OSError) as exc:
+        _exit(exc, EXIT_IO)
 
 
 def _exit_short_file(exc: IndexOutOfRange):
@@ -91,11 +100,9 @@ def main():
               help="Also write the rendered output to this path.")
 def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     """Compute approximants P_n/Q_n for n = 0 .. N-MAX."""
-    _check_family_args(family, k, moments_file)
+    seq = _sequence(family, k, moments_file)
     try:
-        records, stop = run_convergence(family, n_max, k, method, moments_file), None
-    except (ParseError, OSError) as exc:
-        _exit(exc, EXIT_IO)
+        records, stop = run_convergence(seq, n_max, method), None
     except (EngineMismatch, OrthogonalityLost) as exc:
         _exit(exc, EXIT_VALIDATION)
     except (IndexOutOfRange, PositivityViolation, NonPositiveQ) as exc:
@@ -127,11 +134,10 @@ def moments(family, k, count, fmt, moments_file):
     JSON output uses the moment-file schema, so it can be fed back through
     --moments-file.
     """
-    _check_family_args(family, k, moments_file)
+    seq = _sequence(family, k, moments_file)
     try:
-        seq = family_sequence(family, k, moments_file)
         values = seq.moments(count)
-    except (ParseError, IndexOutOfRange, OSError) as exc:
+    except IndexOutOfRange as exc:
         _exit(exc, EXIT_IO)
     if fmt == "json":
         doc = {"name": seq.name, "a": [format_rational(v) for v in values]}
@@ -151,11 +157,9 @@ def moments(family, k, count, fmt, moments_file):
               help="Highest index to validate.")
 def validate(family, k, n_max, moments_file):
     """Cross-check the determinant and recurrence engines."""
-    _check_family_args(family, k, moments_file)
+    seq = _sequence(family, k, moments_file)
     try:
-        checks = cross_validate(family, n_max, k=k, moments_file=moments_file)
-    except (ParseError, OSError) as exc:
-        _exit(exc, EXIT_IO)
+        checks = cross_validate(seq, n_max)
     except IndexOutOfRange as exc:
         _exit_short_file(exc)
     except OrthogonalityLost as exc:

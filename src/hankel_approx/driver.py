@@ -16,11 +16,12 @@ the prime divides the numerators of both differences to the true pair. A
 row the residues cannot form (a pivot or moment denominator that the
 prime divides) and every later one are compared exactly.
 
-``run_convergence`` (``approx``) returns the records and ``cross_validate``
-(``validate``) the check lines, as (name, passed, detail) tuples. Both take
-the CLI's arguments as plain parameters, and each input rule is checked
-once: ``family_sequence`` checks the family arguments (zeta needs k >= 2,
-custom a moments file), and ``_walk`` checks n_max >= 0 and the method.
+``run_convergence`` is that walk: it returns the records, which ``approx``
+prints. ``cross_validate`` runs it with exact comparison and returns the
+check lines that ``validate`` prints, as (name, passed, detail) tuples.
+Both take a MomentSequence; the CLI resolves the family arguments to one
+and reports a moment file it cannot read before calling either, and
+``run_convergence`` checks n_max >= 0 and the method.
 
 Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
 NonPositiveQ, IndexOutOfRange) carry the records produced before the
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_residues, hankel_sweep, residue
-from .moments import family_sequence
+from .moments import MomentSequence
 from .orthopoly import ortho_sweep
 
 ELIDE_THRESHOLD = 40  # table cells longer than this print as "-" unless exact
@@ -84,9 +85,10 @@ def _determinant_checks(seq, n_max: int, exact: bool):
         yield None, pair
 
 
-def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
-    """Records for n = 0 .. n_max from the determinant sweep alone ("det"),
-    or from both routes in lock step ("both").
+def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
+                    exact: bool = False) -> list:
+    """Records for n = 0 .. n_max, in order: from the determinant sweep
+    alone ("det"), or from both routes in lock step ("both").
 
     With "both" the recurrence produces every record, and at each n its
     (A_n N_n, N_n) must equal the determinants' (P_n, Q_n), which checks
@@ -126,12 +128,6 @@ def _walk(seq, n_max: int, method: str, exact: bool = False) -> list:
         exc.records = records
         raise
     return records
-
-
-def run_convergence(family: str, n_max: int, k: int | None = None,
-                    method: str = "both", moments_file: str | None = None) -> list:
-    """Records for n = 0 .. n_max, in order."""
-    return _walk(family_sequence(family, k, moments_file), n_max, method)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +183,7 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
 # ---------------------------------------------------------------------------
 # cross-validation
 
-def cross_validate(family: str, n_max: int, k: int | None = None,
-                   moments_file: str | None = None) -> list[tuple[str, bool, str]]:
+def cross_validate(seq: MomentSequence, n_max: int) -> list[tuple[str, bool, str]]:
     """Run both engines in lock step; return the check lines in print order
     as (name, passed, detail) tuples.
 
@@ -203,9 +198,8 @@ def cross_validate(family: str, n_max: int, k: int | None = None,
     recurrence polynomial that is not orthogonal to an earlier one raises
     OrthogonalityLost (the recurrence checks this at every step).
     """
-    seq = family_sequence(family, k, moments_file)
     try:
-        records = _walk(seq, n_max, "both", exact=True)
+        records = run_convergence(seq, n_max, exact=True)
     except PositivityViolation as exc:
         return [("positive-definite", False,
                  f"squared norm fails at degree {exc.index}; positive through {exc.index - 1}")]

@@ -30,8 +30,9 @@ DEFAULT_DIGITS = 10
 # CPython, so longer requests are refused before any conversion.
 MAX_DIGITS = 100_000
 
-_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z")
-_DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
+# [0-9], not \d: \d and int() also take every other script's decimal digits.
+_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?\Z")
+_DECIMAL_RE = re.compile(r"(-?)([0-9]+)\.([0-9]+)\Z")
 
 
 def _to_int(digits: str) -> int:

@@ -16,7 +16,8 @@ Entry H^(k)_m first needs the moment a_{k+2m-2}, so each moment adds one
 anti-diagonal j = k + 2m - 2, and only the last three anti-diagonals are
 kept. Step n adds the anti-diagonals of a_{2n+1} and a_{2n+2}; the second
 ends with Q_n = H^(2)_{n+1} and -P_n = H^(0)_{n+2}. That is O(n) new
-entries per step, O(N^2) for a sweep.
+entries per step, O(N^2) for a sweep. ``hankel_P`` and ``hankel_Q`` read
+the last pair of a sweep to n, so each call runs one.
 
 The divisor H^(k+2)_{m-1} can be zero for a custom sequence (the odd
 moments of a symmetric measure vanish, for one). From the row the table
@@ -27,8 +28,7 @@ with row and column 0 of P_n's matrix moved last, P_n = -det M_n for
 
 and one-step fraction-free elimination (Bareiss 1968) grows M_n by one row
 and column per n, O(n^2) operations per step. Its pivots are Q_0, Q_1, ...,
-so it never searches for one. ``hankel_P`` and ``hankel_Q`` read the last
-pair of one such run.
+so it never searches for one.
 
 On integer moments every division in both algorithms is exact
 (Sylvester's identity), so the exact route keeps integral moments and
@@ -130,35 +130,28 @@ def _quotient(x, d):
     return x / d
 
 
-def _exact(rows, seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """``rows`` over the rationals, raising NonPositiveQ at the first Q_n <= 0.
+def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """Yield (P_n, Q_n) for n = 0 .. n_max in order.
 
-    Integral entries stay ints inside ``rows``; each pair leaves as
-    Fractions, since int / int would be a float.
+    Step n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
+    a short sequence fails at the first index it lacks; Q_n <= 0 raises
+    NonPositiveQ after both reads. Integral entries stay ints inside the
+    rows; each pair leaves as Fractions, since int / int would be a float.
     """
-    for n, (P, Q) in enumerate(rows(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
+    for n, (P, Q) in enumerate(_rows(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
         P, Q = Fraction(P), Fraction(Q)
         if Q <= 0:
             raise NonPositiveQ(n, Q)
         yield P, Q
 
 
-def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """Yield (P_n, Q_n) for n = 0 .. n_max in order.
-
-    Step n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
-    a short sequence fails at the first index it lacks; Q_n <= 0 raises
-    NonPositiveQ after both reads.
-    """
-    return _exact(_rows, seq, n_max)
-
-
 def _last_pair(seq: MomentSequence, n: int) -> tuple[Fraction, Fraction]:
-    """(P_n, Q_n) from one elimination; NonPositiveQ at the first Q_m <= 0, m <= n."""
+    """(P_n, Q_n), the last pair of a sweep to n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    *_, last = _exact(_eliminate, seq, n)
-    return last
+    for pair in hankel_sweep(seq, n):
+        pass
+    return pair
 
 
 def hankel_P(seq: MomentSequence, n: int) -> Fraction:

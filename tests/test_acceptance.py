@@ -5,8 +5,8 @@ pass/fail line per check. The first four compare against the frozen
 known-good tables in golden_values.py; the rest assert the structural
 guarantees the construction promises (engine equivalence, positivity,
 monotonicity, orthogonality), check both determinant algorithms, the
-condensation sweep and the bordered elimination behind ``hankel_P`` and
-``hankel_Q``, against cofactor expansion of Hankel matrices built by the
+condensation sweep and the bordered elimination it falls back to past a
+zero divisor, against cofactor expansion of Hankel matrices built by the
 test oracles, check the sweep against one elimination run over every
 family's range, guard that the sweep never falls back to elimination on a
 built-in family, and that ``approx``'s default walk computes no exact
@@ -29,7 +29,7 @@ import pytest
 from hankel_approx import driver, hankel
 from hankel_approx.driver import run_convergence
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
-from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
+from hankel_approx.hankel import hankel_sweep
 from hankel_approx.moments import family_sequence
 from hankel_approx.orthopoly import ortho_sweep
 
@@ -173,12 +173,15 @@ def test_structural_guarantees(det_sweeps, sequences):
 
 
 def test_determinant_routes_match_cofactor_oracle(det_sweeps, sequences):
+    # The elimination in the exact route's arithmetic: integral moments as ints.
     for family, seq in sequences.items():
+        eliminated = list(hankel._eliminate(lambda j: hankel._whole(seq.moment(j)),
+                                            hankel._quotient, 4))
         for n in range(5):
             oracle = (-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                       cofactor_det(hankel_matrix(seq, 2, n + 1)))
             assert det_sweeps[family][n] == oracle, f"{family} n={n}"
-            assert (hankel_P(seq, n), hankel_Q(seq, n)) == oracle, f"{family} n={n}"
+            assert eliminated[n] == oracle, f"{family} n={n}"
 
 
 def test_sweep_matches_per_index_elimination(det_sweeps, sequences):
@@ -205,16 +208,16 @@ def test_orthogonality_across_families(sequences, ortho_sweeps):
                 )
 
 
-def test_default_walk_makes_no_exact_determinant_call(det_sweeps, monkeypatch):
+def test_default_walk_makes_no_exact_determinant_call(det_sweeps, sequences, monkeypatch):
     # approx's default compares the recurrence with the determinants mod a
     # prime; on a built-in family it never needs an exact determinant.
     sweep_rows, sweep = [], driver.hankel_sweep
     monkeypatch.setattr(driver, "hankel_sweep", lambda seq, n_max: (
         sweep_rows.append(1) or row for row in sweep(seq, n_max)))
     det_calls = record_eliminations(monkeypatch)
-    for family, (name, k, top) in FAMILIES.items():
+    for family, (_, _, top) in FAMILIES.items():
         top = 48 if family == "gompertz" else top
-        records = run_convergence(family=name, k=k, n_max=top)
+        records = run_convergence(sequences[family], top)
         assert [r.n for r in records] == list(range(top + 1)), family
         assert [(r.P, r.Q) for r in records[:len(det_sweeps[family])]] == det_sweeps[family]
     assert (sweep_rows, det_calls) == ([], [])

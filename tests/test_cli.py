@@ -195,11 +195,16 @@ def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
      "error: invalid moment file: a number has more than 2000000 digits\n"),
     ('{"name": "x", "a": [' + "[" * 900 + "]" * 900 + "]}",
      "error: moment a_1 must be a rational string, got a JSON array\n"),
+    ('{"name": "x", "a": ["\\u0661", "\\u0662"]}',
+     "error: moment a_1: not a rational: '\u0661'\n"),
+    ('{"name": "x", "a": ["1", "2"], "reference": "\\u0660.5"}',
+     "error: reference: not a fixed-point decimal: '\u0660.5'\n"),
 ], ids=["nested", "long-moment", "long-reference", "long-literal", "long-literal-name",
-        "nested-entry"])
+        "nested-entry", "non-ascii-moment", "non-ascii-reference"])
 def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, stderr):
     # Too deep for the JSON parser, more digits than the int/str limit that
-    # importing the package sets, or an entry whose text must not be echoed:
+    # importing the package sets, an entry whose text must not be echoed, or
+    # digits outside 0-9 (Arabic-Indic here), which int() alone would read:
     # one short error line, no traceback.
     path = tmp_path / "hostile.json"
     path.write_text(text)

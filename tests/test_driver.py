@@ -27,6 +27,8 @@ from hankel_approx.exactnum import rat_to_decimal
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import (
     ReferenceConstant,
+    factorial_sequence,
+    gamma_sequence,
     gompertz_sequence,
     load_moments,
     zeta_sequence,
@@ -38,33 +40,27 @@ from .oracles import records_from_json
 
 
 def test_runs_reject_bad_input():
-    run_convergence(family="gamma", n_max=0)  # minimal valid run
+    # Both take a resolved sequence; the family arguments are checked where
+    # they are resolved (test_moments and the CLI's usage-error tests).
+    run_convergence(gamma_sequence(), 0)  # minimal valid run
     for run in (run_convergence, cross_validate):
         with pytest.raises(ValueError, match="n_max must be >= 0"):
-            run(family="gamma", n_max=-1)
-        with pytest.raises(ValueError):
-            run(family="zeta", n_max=3)
-        with pytest.raises(ValueError):
-            run(family="zeta", n_max=3, k=1)
-        with pytest.raises(ValueError):
-            run(family="custom", n_max=3)
+            run(gamma_sequence(), -1)
     with pytest.raises(ValueError, match="unknown method: 'magic'"):
-        run_convergence(family="gamma", n_max=3, method="magic")
-    with pytest.raises(ValueError, match="unknown method: 'magic'"):
-        driver._walk(gompertz_sequence(), 3, "magic")
+        run_convergence(gompertz_sequence(), 3, "magic")
 
 
 def test_run_convergence_default_method(write_moments_file):
-    assert {r.method for r in run_convergence(family="gompertz", n_max=2)} == {"both"}
-    det = run_convergence(family="gompertz", n_max=2, method="det")
+    assert {r.method for r in run_convergence(gompertz_sequence(), 2)} == {"both"}
+    det = run_convergence(gompertz_sequence(), 2, "det")
     assert {r.method for r in det} == {"det"}
     path = write_moments_file("mine", ["1", "2", "5", "16"])
-    custom = run_convergence(family="custom", n_max=1, moments_file=str(path))
+    custom = run_convergence(load_moments(path), 1)
     assert {r.method for r in custom} == {"both"}
 
 
 def test_run_convergence_matches_known_rows():
-    records = run_convergence(family="gompertz", n_max=5)
+    records = run_convergence(gompertz_sequence(), 5)
     assert [r.n for r in records] == list(range(6))
     for r in records:
         frac, decimal = GOMPERTZ_ROWS[r.n]
@@ -76,27 +72,27 @@ def test_run_convergence_matches_known_rows():
 
 
 def test_run_convergence_gaps_shrink():
-    records = run_convergence(family="zeta", k=2, n_max=6)
+    records = run_convergence(zeta_sequence(2), 6)
     gaps = [r.gap for r in records]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 def test_run_convergence_methods_agree():
-    det = run_convergence(family="zeta", k=3, n_max=5, method="det")
+    det = run_convergence(zeta_sequence(3), 5, "det")
     ortho = ortho_records(zeta_sequence(3), 5)
     assert [r.value for r in det] == [r.value for r in ortho]
     assert [(r.P, r.Q) for r in det] == [(r.P, r.Q) for r in ortho]
 
 
 def test_run_convergence_factorial_has_no_gap():
-    records = run_convergence(family="factorial", n_max=4)
+    records = run_convergence(factorial_sequence(), 4)
     assert all(r.gap is None for r in records)
 
 
 def test_run_convergence_positivity_violation_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
     with pytest.raises(PositivityViolation) as excinfo:
-        run_convergence(family="custom", n_max=3, moments_file=str(path))
+        run_convergence(load_moments(path), 3)
     partial = excinfo.value.records
     assert [r.n for r in partial] == [0]
     assert partial[0].value == 1
@@ -105,7 +101,7 @@ def test_run_convergence_positivity_violation_carries_records(write_moments_file
 def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
     with pytest.raises(NonPositiveQ) as excinfo:
-        run_convergence(family="custom", n_max=3, method="det", moments_file=str(path))
+        run_convergence(load_moments(path), 3, "det")
     assert excinfo.value.n == 1
     assert [r.n for r in excinfo.value.records] == [0]
 
@@ -118,7 +114,7 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
         if method == "ortho":
             ortho_records(load_moments(path), 3)
         else:
-            run_convergence(family="custom", n_max=3, method=method, moments_file=str(path))
+            run_convergence(load_moments(path), 3, method)
     assert (excinfo.value.requested, excinfo.value.available) == (5, 4)
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
@@ -126,7 +122,7 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
 def test_run_convergence_detects_engine_mismatch(skew_residues):
     skew_residues(0, lambda P, Q: (0, Q))
     with pytest.raises(EngineMismatch) as excinfo:
-        run_convergence(family="gompertz", n_max=2)
+        run_convergence(gompertz_sequence(), 2)
     assert excinfo.value.n == 0
     assert excinfo.value.records == []
     assert excinfo.value.modulus == CHECK_PRIME == 2**61 - 1
@@ -136,7 +132,7 @@ def test_run_convergence_detects_engine_mismatch(skew_residues):
 
 def test_cross_validate_detects_engine_mismatch_exactly(monkeypatch, skew_sweep):
     skew_sweep(0, lambda P, Q: (Fraction(0), Q))
-    raised, walk = [], driver._walk
+    raised, walk = [], driver.run_convergence
 
     def spy(*args, **kwargs):
         try:
@@ -145,8 +141,8 @@ def test_cross_validate_detects_engine_mismatch_exactly(monkeypatch, skew_sweep)
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(driver, "_walk", spy)
-    checks = cross_validate("gompertz", 2)
+    monkeypatch.setattr(driver, "run_convergence", spy)
+    checks = cross_validate(gompertz_sequence(), 2)
     assert checks == [("engine-agreement", False, "paths disagree first at n = 0")]
     [exc] = raised
     assert exc.modulus is None
@@ -162,32 +158,32 @@ def test_default_walk_compares_exactly_from_the_first_row_the_prime_cannot_form(
     monkeypatch.setattr(driver, "CHECK_PRIME", 7)
     assert len(list(hankel_residues(gompertz_sequence(), 6, 7))) == 2
     skew_sweep(1, lambda P, Q: (P + 1, Q))
-    both = run_convergence(family="gompertz", n_max=6)
+    both = run_convergence(gompertz_sequence(), 6)
     ortho = ortho_records(gompertz_sequence(), 6)
     assert [(r.n, r.P, r.Q) for r in both] == [(r.n, r.P, r.Q) for r in ortho]
     skew_sweep(4, lambda P, Q: (P, Q + 1))  # on top of the row-1 change
     with pytest.raises(EngineMismatch) as excinfo:
-        run_convergence(family="gompertz", n_max=6)
+        run_convergence(gompertz_sequence(), 6)
     assert (excinfo.value.n, excinfo.value.modulus) == (4, None)
     assert [r.n for r in excinfo.value.records] == [0, 1, 2, 3]
 
 
 def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
     with pytest.raises(OrthogonalityLost) as excinfo:
-        run_convergence(family="gompertz", n_max=4)
+        run_convergence(gompertz_sequence(), 4)
     assert excinfo.value.degree == 2
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
 
 def test_compare_reference():
-    records = run_convergence(family="gompertz", n_max=2)
+    records = run_convergence(gompertz_sequence(), 2)
     ref = ReferenceConstant("0.5963473623")
     for r in records:
         assert r.gap == ref.as_fraction() - r.value
 
 
 def test_emit_table_elides_large_rationals():
-    records = run_convergence(family="gompertz", n_max=21)
+    records = run_convergence(gompertz_sequence(), 21)
     big = records[-1]
     decimal = rat_to_decimal(big.value)
     assert len(str(big.value)) > ELIDE_THRESHOLD
@@ -198,23 +194,23 @@ def test_emit_table_elides_large_rationals():
 
 
 def test_emit_table_digit_override():
-    records = run_convergence(family="gompertz", n_max=1)
+    records = run_convergence(gompertz_sequence(), 1)
     table = emit(records, "table", digits=4)
     assert table.splitlines() == ["0 | 1/2 | 0.5000", "1 | 4/7 | 0.5714"]
 
 
 def test_emit_csv():
-    records = run_convergence(family="gompertz", n_max=1)
+    records = run_convergence(gompertz_sequence(), 1)
     lines = emit(records, "csv").splitlines()
     assert lines[0] == "n,P,Q,value,gap"
     assert lines[1].startswith("0,1,2,1/2,")
     assert lines[2].startswith("1,4,7,4/7,")
-    fact = emit(run_convergence(family="factorial", n_max=1), "csv")
+    fact = emit(run_convergence(factorial_sequence(), 1), "csv")
     assert fact.splitlines()[1].endswith(",")  # empty gap column
 
 
 def test_emit_json_roundtrip():
-    records = run_convergence(family="zeta", k=2, n_max=3)
+    records = run_convergence(zeta_sequence(2), 3)
     text = emit(records, "json")
     rows = json.loads(text)
     assert [row["n"] for row in rows] == [0, 1, 2, 3]
@@ -227,7 +223,7 @@ def test_emit_json_roundtrip():
 
 def test_emit_writes_out_file(tmp_path):
     # emit only renders; approx writes its text to --out.
-    records = run_convergence(family="gompertz", n_max=1)
+    records = run_convergence(gompertz_sequence(), 1)
     out = tmp_path / "run.csv"
     res = CliRunner().invoke(main, ["approx", "--family", "gompertz", "--n-max", "1",
                                     "--format", "csv", "--out", str(out)])
@@ -241,7 +237,7 @@ def test_emit_rejects_unknown_format():
 
 
 def test_cross_validate_builtin_passes():
-    checks = cross_validate("gompertz", 5)
+    checks = cross_validate(gompertz_sequence(), 5)
     assert all(passed for _, passed, _ in checks)
     names = [name for name, _, _ in checks]
     assert names == [
@@ -254,14 +250,14 @@ def test_cross_validate_builtin_passes():
 
 
 def test_cross_validate_factorial_skips_reference():
-    checks = cross_validate("factorial", 5)
+    checks = cross_validate(factorial_sequence(), 5)
     assert all(passed for _, passed, _ in checks)
     assert all(name != "reference-bound" for name, _, _ in checks)
 
 
 def test_cross_validate_custom_positive_definite(write_moments_file):
     path = write_moments_file("mine", ["1", "2", "5", "16", "65", "326"])
-    checks = cross_validate("custom", 1, moments_file=str(path))
+    checks = cross_validate(load_moments(path), 1)
     assert all(passed for _, passed, _ in checks)
     assert [name for name, _, _ in checks] == [
         "engine-agreement", "norm-factorization", "positive-Q", "monotone"]
@@ -269,7 +265,7 @@ def test_cross_validate_custom_positive_definite(write_moments_file):
 
 def test_cross_validate_reports_violation(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
-    checks = cross_validate("custom", 2, moments_file=str(path))
+    checks = cross_validate(load_moments(path), 2)
     assert checks == [("positive-definite", False,
                        "squared norm fails at degree 1; positive through 0")]
 
@@ -277,7 +273,7 @@ def test_cross_validate_reports_violation(write_moments_file):
 def test_cross_validate_passes_inside_the_last_reference_digit():
     # The stored 0.5963473623 is truncated below the Gompertz constant, and
     # A_46 .. A_48 lie between the two: the bound is undecided there, not failed.
-    checks = cross_validate("gompertz", 48)
+    checks = cross_validate(gompertz_sequence(), 48)
     assert all(passed for _, passed, _ in checks)
     name, _, detail = checks[-1]
     assert name == "reference-bound"

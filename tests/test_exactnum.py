@@ -37,7 +37,10 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1.5", "1/2/3", "1/-2", "+3", "1 /2"])
+# A digit string means 0-9 only: int() alone would also read Arabic-Indic,
+# Devanagari or fullwidth digits.
+@pytest.mark.parametrize("text", ["", "abc", "1.5", "1/2/3", "1/-2", "+3", "1 /2",
+                                  "١", "1/٥", "५", "３"])
 def test_parse_rational_rejects(text):
     with pytest.raises(ParseError):
         parse_rational(text)
@@ -85,7 +88,7 @@ def test_parse_decimal(text, expected):
     assert parse_decimal(text) == expected
 
 
-@pytest.mark.parametrize("text", ["5", ".5", "1.", "1e3", "1.2.3", ""])
+@pytest.mark.parametrize("text", ["5", ".5", "1.", "1e3", "1.2.3", "", "٠.5963473623", "0.٥"])
 def test_parse_decimal_rejects(text):
     with pytest.raises(ParseError):
         parse_decimal(text)

@@ -1,7 +1,7 @@
-"""Property tests: the recurrence and the determinant sweep against the
-per-n determinant route, the bordered elimination against cofactor
-expansion, and the driver's walk on each method against the recurrence
-read directly.
+"""Property tests: the recurrence against ``hankel_P`` and ``hankel_Q``,
+the determinant sweep against one bordered elimination, the elimination
+against cofactor expansion, and the driver's walk on each method against
+the recurrence read directly.
 
 Inputs are short random rational sequences, which are mostly not positive
 definite, and the moments a_j = sum_i w_i x_i^j of random discrete
@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankel_approx import driver, hankel
-from hankel_approx.driver import CHECK_PRIME, _walk
+from hankel_approx.driver import CHECK_PRIME, run_convergence
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_sweep
 from hankel_approx.moments import MomentSequence
@@ -158,19 +158,17 @@ def determinant_run(rows):
     return taken, None
 
 
-def per_index_rows(seq, n_max):
-    for n in range(n_max + 1):
-        yield hankel_P(seq, n), hankel_Q(seq, n)
-
-
 @small_and_fast
 @given(st.one_of(random_sequences(), measure_moments(), symmetric_measures()))
 def test_sweep_equals_per_index_determinants(case):
+    # One bordered elimination over Fractions gives every (P_n, Q_n); the
+    # sweep must give the same rows and stop at its first Q_n <= 0.
     seq, n_max = case
     rows, failed_at = determinant_run(hankel_sweep(seq, n_max))
-    expected, first_bad = determinant_run(per_index_rows(seq, n_max))
+    expected = list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max))
+    first_bad = next((n for n, (_, Q) in enumerate(expected) if Q <= 0), None)
     assert failed_at == first_bad
-    assert rows == expected
+    assert rows == expected[:first_bad]
 
 
 @small_and_fast
@@ -225,7 +223,10 @@ def walk_run(seq, n_max, route):
     "both"), or of ``ortho_sweep`` read directly ("ortho"), and the n the
     run stopped at or None."""
     try:
-        records = ortho_records(seq, n_max) if route == "ortho" else _walk(seq, n_max, route)
+        if route == "ortho":
+            records = ortho_records(seq, n_max)
+        else:
+            records = run_convergence(seq, n_max, route)
         stop = None
     except PositivityViolation as exc:
         records, stop = exc.records, exc.index
@@ -278,7 +279,7 @@ def test_default_walk_catches_a_one_entry_change_of_either_route(case, data):
     with pytest.MonkeyPatch.context() as mp:
         skew_rows(mp, route, bad_n, change)
         with pytest.raises(EngineMismatch) as excinfo:
-            _walk(seq, n_max, "both")
+            run_convergence(seq, n_max)
     assert excinfo.value.n == bad_n
     assert excinfo.value.modulus == (CHECK_PRIME if bad_n < formed else None)
     assert [(r.n, r.P, r.Q, r.value) for r in excinfo.value.records] == rows[:bad_n]
