@@ -7,6 +7,7 @@ violation, 4 I/O or parse error.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import click
@@ -21,7 +22,13 @@ from .errors import (
     PositivityViolation,
 )
 from .exactnum import DEFAULT_DIGITS, MAX_DIGITS, format_rational
-from .moments import FAMILIES, family_sequence
+from .moments import (
+    factorial_sequence,
+    gamma_sequence,
+    gompertz_sequence,
+    load_moments,
+    zeta_sequence,
+)
 
 EXIT_VALIDATION = 2
 EXIT_POSITIVITY = 3
@@ -31,14 +38,23 @@ EXIT_IO = 4
 MAX_CLI_K = 64
 
 
-def family_options(fn):
-    fn = click.option("--moments-file", type=click.Path(), default=None,
-                      help="Moment file for --family custom.")(fn)
-    fn = click.option("--family", type=click.Choice(FAMILIES), required=True,
-                      help="Moment family; custom reads --moments-file.")(fn)
-    fn = click.option("--k", type=int, default=None,
-                      help="Exponent for the zeta family (2 <= k <= 64).")(fn)
-    return fn
+class _Integer(click.IntRange):
+    """click's integer type, a range when bounded, reading only [+-]?[0-9]+
+    as moment files do: click's int() also takes other scripts' digits,
+    "_" separators and surrounding spaces."""
+
+    def __init__(self, min=None, max=None):
+        super().__init__(min, max)
+        if min is None and max is None:
+            self.name = "integer"  # as click.INT, and with no range in --help
+
+    def _describe_range(self) -> str:
+        return "" if self.name == "integer" else super()._describe_range()
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value) is None:
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+        return super().convert(value, param, ctx)
 
 
 def _exit(message, code: int):
@@ -46,8 +62,12 @@ def _exit(message, code: int):
     sys.exit(code)
 
 
+FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")  # --family, in help order
+
+
 def _sequence(family, k, moments_file):
-    """The moment sequence the family options name.
+    """The moment sequence the family options name: the one place that maps
+    a --family name to its builder.
 
     A combination of options that does not fit the family is a usage error
     (exit 2); a moment file that cannot be read or parsed exits 4.
@@ -59,14 +79,29 @@ def _sequence(family, k, moments_file):
             raise click.UsageError(f"--k must be in [2, {MAX_CLI_K}]")
     elif k is not None:
         raise click.UsageError("--k only applies to --family zeta")
-    if family == "custom" and not moments_file:
+    if family != "custom":
+        if moments_file is not None:
+            raise click.UsageError("--moments-file only applies to --family custom")
+        if family == "zeta":
+            return zeta_sequence(k)
+        return {"gamma": gamma_sequence, "gompertz": gompertz_sequence,
+                "factorial": factorial_sequence}[family]()
+    if not moments_file:
         raise click.UsageError("--family custom requires --moments-file")
-    if family != "custom" and moments_file is not None:
-        raise click.UsageError("--moments-file only applies to --family custom")
     try:
-        return family_sequence(family, k, moments_file)
+        return load_moments(moments_file)
     except (ParseError, OSError) as exc:
         _exit(exc, EXIT_IO)
+
+
+def family_options(fn):
+    fn = click.option("--moments-file", type=click.Path(), default=None,
+                      help="Moment file for --family custom.")(fn)
+    fn = click.option("--family", type=click.Choice(FAMILIES), required=True,
+                      help="Moment family; custom reads --moments-file.")(fn)
+    fn = click.option("--k", type=_Integer(), default=None,
+                      help=f"Exponent for the zeta family (2 <= k <= {MAX_CLI_K}).")(fn)
+    return fn
 
 
 def _exit_short_file(exc: IndexOutOfRange):
@@ -83,13 +118,13 @@ def main():
 
 @main.command()
 @family_options
-@click.option("--n-max", type=click.IntRange(min=0), required=True,
+@click.option("--n-max", type=_Integer(min=0), required=True,
               help="Highest approximant index to compute.")
 @click.option("--method", type=click.Choice(METHODS), default="both",
               show_default=True,
               help="det: exact determinants, unchecked; both: exact recurrence, "
                    "checked against the determinants mod 2^61 - 1.")
-@click.option("--digits", type=click.IntRange(min=1, max=MAX_DIGITS),
+@click.option("--digits", type=_Integer(min=1, max=MAX_DIGITS),
               default=DEFAULT_DIGITS, show_default=True,
               help="Fractional digits in the decimal column.")
 @click.option("--format", "fmt", type=click.Choice(FORMATS),
@@ -124,7 +159,7 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
 
 @main.command()
 @family_options
-@click.option("--count", type=click.IntRange(min=1), required=True,
+@click.option("--count", type=_Integer(min=1), required=True,
               help="How many moments a_1 .. a_count to emit.")
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")),
               default="json", show_default=True)
@@ -145,15 +180,13 @@ def moments(family, k, count, fmt, moments_file):
             doc["reference"] = seq.reference.decimal
         click.echo(json.dumps(doc, indent=2))
     else:
-        lines = ["n,a"] + [
-            f"{n},{format_rational(v)}" for n, v in enumerate(values, start=1)
-        ]
-        click.echo("\n".join(lines))
+        click.echo("\n".join(["n,a"] + [f"{n},{format_rational(v)}"
+                                         for n, v in enumerate(values, start=1)]))
 
 
 @main.command()
 @family_options
-@click.option("--n-max", type=click.IntRange(min=0), required=True,
+@click.option("--n-max", type=_Integer(min=0), required=True,
               help="Highest index to validate.")
 def validate(family, k, n_max, moments_file):
     """Cross-check the determinant and recurrence engines."""

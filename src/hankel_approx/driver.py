@@ -19,9 +19,7 @@ prime divides) and every later one are compared exactly.
 ``run_convergence`` is that walk: it returns the records, which ``approx``
 prints. ``cross_validate`` runs it with exact comparison and returns the
 check lines that ``validate`` prints, as (name, passed, detail) tuples.
-Both take a MomentSequence; the CLI resolves the family arguments to one
-and reports a moment file it cannot read before calling either, and
-``run_convergence`` checks n_max >= 0 and the method.
+Both take a MomentSequence, which ``cli._sequence`` builds.
 
 Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
 NonPositiveQ, IndexOutOfRange) carry the records produced before the
@@ -95,10 +93,8 @@ def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
     A_n = P_n/Q_n and Q_n = t_0 ... t_n at once; the first difference
     raises EngineMismatch. The recurrence runs first at each n, so its
     errors come before anything from the determinant side. With ``exact``
-    the pairs are compared exactly; otherwise both are reduced mod the
-    prime p = CHECK_PRIME, and a wrong exact pair passes only if p divides
-    the numerators of both differences to the true (P_n, Q_n). Any
-    abortive error carries the records finished before it. A negative
+    the pairs are compared exactly, otherwise mod CHECK_PRIME (see above).
+    Any abortive error carries the records finished before it. A negative
     ``n_max`` or a method outside METHODS raises ValueError.
     """
     if n_max < 0:
@@ -148,36 +144,25 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
     json); ``exact`` keeps long ratios in the table instead of eliding them.
     """
     if format == "table":
-        lines = []
-        for r in records:
-            dec = rat_to_decimal(r.value, digits)
-            lines.append(f"{r.n} | {_table_cell(r.value, exact)} | {dec}")
-        text = "\n".join(lines)
+        lines = [f"{r.n} | {_table_cell(r.value, exact)} | {rat_to_decimal(r.value, digits)}"
+                 for r in records]
     elif format == "csv":
-        lines = ["n,P,Q,value,gap"]
-        for r in records:
-            gap = format_rational(r.gap) if r.gap is not None else ""
-            lines.append(
-                f"{r.n},{format_rational(r.P)},{format_rational(r.Q)},"
-                f"{format_rational(r.value)},{gap}"
-            )
-        text = "\n".join(lines)
+        lines = ["n,P,Q,value,gap"] + [
+            f"{r.n},{format_rational(r.P)},{format_rational(r.Q)},{format_rational(r.value)},"
+            + (format_rational(r.gap) if r.gap is not None else "") for r in records]
     elif format == "json":
-        rows = []
-        for r in records:
-            rows.append({
-                "n": r.n,
-                "P": format_rational(r.P),
-                "Q": format_rational(r.Q),
-                "value": format_rational(r.value),
-                "decimal": rat_to_decimal(r.value, digits),
-                "gap": format_rational(r.gap) if r.gap is not None else None,
-                "method": r.method,
-            })
-        text = json.dumps(rows, indent=2)
+        return json.dumps([{
+            "n": r.n,
+            "P": format_rational(r.P),
+            "Q": format_rational(r.Q),
+            "value": format_rational(r.value),
+            "decimal": rat_to_decimal(r.value, digits),
+            "gap": format_rational(r.gap) if r.gap is not None else None,
+            "method": r.method,
+        } for r in records], indent=2)
     else:
         raise ValueError(f"unknown format: {format!r}")
-    return text
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +189,7 @@ def cross_validate(seq: MomentSequence, n_max: int) -> list[tuple[str, bool, str
         return [("positive-definite", False,
                  f"squared norm fails at degree {exc.index}; positive through {exc.index - 1}")]
     except NonPositiveQ as exc:
-        return [("positive-Q", False, f"Q_{exc.n} = {exc.value} is not positive")]
+        return [("positive-Q", False, str(exc))]
     except EngineMismatch as exc:
         return [("engine-agreement", False, f"paths disagree first at n = {exc.n}")]
 

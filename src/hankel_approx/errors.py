@@ -1,6 +1,16 @@
 """Exception types shared across the package."""
 
 
+def _brief(text, length=None) -> str:
+    """str(text), or past 42 characters its first 40 and ``length`` (by
+    default its own): a moment file's tokens, and the exact values computed
+    from them, may run to thousands of digits."""
+    text = str(text)
+    if len(text) <= 42:
+        return text
+    return f"{text[:40]}... ({len(text) if length is None else length} characters)"
+
+
 class ParseError(ValueError):
     """Malformed input text (rational grammar, decimal grammar, moment file)."""
 
@@ -40,7 +50,7 @@ class NonPositiveQ(ArithmeticError):
         self.n = n
         self.value = value
         self.records = None
-        super().__init__(f"Q_{n} = {value} is not positive")
+        super().__init__(f"Q_{n} = {_brief(value)} is not positive")
 
 
 class PositivityViolation(ArithmeticError):
@@ -56,7 +66,7 @@ class PositivityViolation(ArithmeticError):
         self.value = value
         self.records = None
         super().__init__(
-            f"positive definiteness fails at degree {index}: squared norm {value} <= 0"
+            f"positive definiteness fails at degree {index}: squared norm {_brief(value)} <= 0"
         )
 
 

@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, _brief
 
 # Determinant values and row-cleared moments reach tens of thousands of
 # digits; CPython caps int<->str conversion at 4300 digits by default.
@@ -48,11 +48,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse the rational text grammar ("9/41", "-3", "0")."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
-        raise ParseError(f"not a rational: {text!r}")
+        raise ParseError(f"not a rational: {_brief(repr(text), len(text))}")
     sign, num, den = m.groups()
     den = _to_int(den) if den is not None else 1
     if den == 0:
-        raise ParseError(f"zero denominator in {text!r}")
+        raise ParseError(f"zero denominator in {_brief(repr(text), len(text))}")
     value = Fraction(_to_int(num), den)
     return -value if sign else value
 
@@ -66,7 +66,7 @@ def parse_decimal(text: str) -> Fraction:
     """Read a fixed-point decimal string ("0.5772156649") as an exact rational."""
     m = _DECIMAL_RE.match(text.strip())
     if m is None:
-        raise ParseError(f"not a fixed-point decimal: {text!r}")
+        raise ParseError(f"not a fixed-point decimal: {_brief(repr(text), len(text))}")
     sign, ipart, fpart = m.groups()
     value = Fraction(_to_int(ipart + fpart), 10 ** len(fpart))
     return -value if sign else value

@@ -14,9 +14,11 @@ independent oracles in the test suite):
                    approximants follow the harmonic numbers and diverge
 
 Index 0 is never produced here: downstream consumers substitute a_0 = 0 by
-construction. Custom sequences can be loaded from a small JSON file (see
-``load_moments``); nothing is assumed about their positive definiteness,
-which the recurrence engine discovers and reports at runtime.
+construction. A ``MomentSequence`` keeps one list of the moments known so
+far, which grows on demand for a built-in family and is fixed for a custom
+one read from a small JSON file (see ``load_moments``); nothing is assumed
+about its positive definiteness, which the recurrence engine discovers and
+reports at runtime. ``cli._sequence`` maps family names to these builders.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from pathlib import Path
 
 from .errors import IndexOutOfRange, ParseError
 from .exactnum import MAX_DIGITS, parse_decimal, parse_rational
-
-FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")
 
 # Ten-digit targets for gamma/gompertz, nine-digit for the zeta constants.
 REFERENCE_DECIMALS = {
@@ -95,39 +95,33 @@ def factorial_moment(n: int) -> Fraction:
 class MomentSequence:
     """Named provider of exact moments a_n = L(e_n) for n >= 1.
 
-    Backed either by a generator function (built-in families) or a fixed
-    list of values (custom sequences). Generated values are cached.
-    ``reference`` optionally holds the target constant's decimal string.
+    One list holds the moments known so far, a_1 first: a custom file's
+    fixed ``values``, or a built-in family's, which ``fn`` (n -> a_n)
+    extends on demand. Without ``fn``, a moment past the end of the list
+    raises IndexOutOfRange. ``reference`` optionally holds the target
+    constant's decimal string.
     """
 
-    def __init__(self, name: str, *, fn=None, values=None,
+    def __init__(self, name: str, *, fn=None, values=(),
                  reference: str | None = None):
-        if (fn is None) == (values is None):
-            raise ValueError("exactly one of fn/values must be given")
         self.name = name
         self._fn = fn
-        self._values = list(values) if values is not None else None
-        self._cache: list[Fraction] = []
+        self._known: list[Fraction] = list(values)
         self.reference = (
             ReferenceConstant(reference) if reference is not None else None
         )
 
     def moment(self, n: int) -> Fraction:
         _check_index(n)
-        if self._values is not None:
-            if n > len(self._values):
-                raise IndexOutOfRange(n, len(self._values))
-            return self._values[n - 1]
-        while len(self._cache) < n:
-            self._cache.append(self._fn(len(self._cache) + 1))
-        return self._cache[n - 1]
+        while len(self._known) < n:
+            if self._fn is None:
+                raise IndexOutOfRange(n, len(self._known))
+            self._known.append(self._fn(len(self._known) + 1))
+        return self._known[n - 1]
 
     def moments(self, count: int) -> list[Fraction]:
         """The first `count` moments a_1 .. a_count."""
         return [self.moment(n) for n in range(1, count + 1)]
-
-    def __repr__(self) -> str:
-        return f"MomentSequence({self.name!r})"
 
 
 def gamma_sequence() -> MomentSequence:
@@ -226,27 +220,3 @@ def load_moments(path) -> MomentSequence:
             raise ParseError(f"reference: {exc}", line=line, column=column) from exc
         reference = reference.strip()  # as parse_decimal reads it; validate counts its digits
     return MomentSequence(name, values=values, reference=reference)
-
-
-def family_sequence(family: str, k: int | None = None,
-                    moments_file=None) -> MomentSequence:
-    """The moment sequence of a family by name; ``custom`` loads ``moments_file``.
-
-    ``zeta`` needs k >= 2 and ``custom`` a moments file; anything else
-    raises ValueError.
-    """
-    if family == "custom":
-        if not moments_file:
-            raise ValueError("custom family requires a moments file")
-        return load_moments(moments_file)
-    if family == "gamma":
-        return gamma_sequence()
-    if family == "gompertz":
-        return gompertz_sequence()
-    if family == "zeta":
-        if k is None:
-            raise ValueError("zeta family requires k")
-        return zeta_sequence(k)
-    if family == "factorial":
-        return factorial_sequence()
-    raise ValueError(f"unknown family: {family!r}")

@@ -30,7 +30,12 @@ from hankel_approx import driver, hankel
 from hankel_approx.driver import run_convergence
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
 from hankel_approx.hankel import hankel_sweep
-from hankel_approx.moments import family_sequence
+from hankel_approx.moments import (
+    factorial_sequence,
+    gamma_sequence,
+    gompertz_sequence,
+    zeta_sequence,
+)
 from hankel_approx.orthopoly import ortho_sweep
 
 from .conftest import record_coefficients, record_eliminations
@@ -43,13 +48,13 @@ from .golden_values import (
 )
 from .oracles import cofactor_det, hankel_matrix, harmonic, inner_product, polynomials
 
-# family -> (builtin name, k, sweep range)
+# family -> (sequence builder, key of its reference decimal, sweep range)
 FAMILIES = {
-    "gamma": ("gamma", None, 25),
-    "gompertz": ("gompertz", None, 25),
-    "zeta2": ("zeta", 2, 25),
-    "zeta3": ("zeta", 3, 25),
-    "factorial": ("factorial", None, 50),
+    "gamma": (gamma_sequence, "gamma", 25),
+    "gompertz": (gompertz_sequence, "gompertz", 25),
+    "zeta2": (lambda: zeta_sequence(2), ("zeta", 2), 25),
+    "zeta3": (lambda: zeta_sequence(3), ("zeta", 3), 25),
+    "factorial": (factorial_sequence, None, 50),
 }
 
 CONVERGENT = ("gamma", "gompertz", "zeta2", "zeta3")
@@ -57,10 +62,7 @@ CONVERGENT = ("gamma", "gompertz", "zeta2", "zeta3")
 
 @pytest.fixture(scope="module")
 def sequences():
-    return {
-        family: family_sequence(name, k)
-        for family, (name, k, _) in FAMILIES.items()
-    }
+    return {family: build() for family, (build, _, _) in FAMILIES.items()}
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +168,7 @@ def test_structural_guarantees(det_sweeps, sequences):
         seq = sequences[family]
         assert values[0] == seq.moment(1) ** 2 / seq.moment(2), family
     for family in CONVERGENT:
-        name, k, _ = FAMILIES[family]
-        ref = parse_decimal(REFERENCE_DECIMALS[name if k is None else (name, k)])
+        ref = parse_decimal(REFERENCE_DECIMALS[FAMILIES[family][1]])
         values = [P / Q for P, Q in det_sweeps[family]]
         assert all(v < ref for v in values), family
 

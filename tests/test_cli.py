@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import hankel_approx
 from hankel_approx import hankel
-from hankel_approx.cli import MAX_DIGITS, main
+from hankel_approx.cli import FAMILIES, MAX_DIGITS, main
 from hankel_approx.driver import CHECK_PRIME, emit
 from hankel_approx.errors import PositivityViolation
 from hankel_approx.hankel import hankel_residues
@@ -215,6 +215,43 @@ def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, 
     assert len(res.stderr.encode()) < 100
 
 
+@pytest.mark.parametrize("entry, reference, stderr", [
+    ("1" * 99_999 + "x", None, "error: moment a_1: not a rational: '" + "1" * 39
+     + "... (100000 characters) (line 1, column 21)\n"),
+    ("1/" + "0" * 99_998, None, "error: moment a_1: zero denominator in '1/" + "0" * 37
+     + "... (100000 characters) (line 1, column 21)\n"),
+    ("1", "0." + "1" * 99_997 + "x", "error: reference: not a fixed-point decimal: '0."
+     + "1" * 37 + "... (100000 characters) (line 1, column 40)\n"),
+], ids=["moment", "zero-denominator", "reference"])
+def test_long_bad_string_is_echoed_cut_short(runner, write_moments_file, entry, reference,
+                                             stderr):
+    # A malformed string shows the first 40 characters of its repr() and its length.
+    path = write_moments_file("x", [entry], reference=reference)
+    res = runner.invoke(main, ["approx", "--family", "custom", "--moments-file", str(path),
+                               "--n-max", "0"])
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == stderr
+
+
+@pytest.mark.parametrize("method, stderr", [
+    ("both", "error: positive definiteness fails at degree 1: squared norm {} <= 0\n"),
+    ("det", "error: Q_1 = {} is not positive\n"),
+])
+def test_long_exact_value_in_an_error_is_cut_short(runner, write_moments_file, method,
+                                                   stderr):
+    # Q_1 = a_2 a_4 - a_3^2 = 1/D - 324 has 235 characters: the error line
+    # shows its first 40 and its length, after the row it printed.
+    d = int("3" * 115)
+    text = str(Fraction(1, d) - 324)
+    path = write_moments_file("long", ["0", "1", "18", f"1/{d}"])
+    res = runner.invoke(main, ["approx", "--family", "custom", "--moments-file", str(path),
+                               "--n-max", "1", "--method", method])
+    assert res.exit_code == 3
+    assert res.stdout == "0 | 0 | 0.0000000000\n"
+    assert res.stderr == stderr.format(f"{text[:40]}... ({len(text)} characters)")
+
+
 def test_approx_short_custom_sequence(runner, write_moments_file):
     # n_max = 2 needs six moments; four cover n = 0 and 1, then it is an input error.
     path = write_moments_file("short", ["1", "2", "5", "16"])
@@ -321,6 +358,16 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
         ["moments", "--family", "factorial", "--count", "1",
          "--moments-file", "/nonexistent.json"],
         ["approx", "--family", "gompertz", "--n-max", "1", "--moments-file", ""],
+        # Integer options take [+-]?[0-9]+ only: not other scripts' digits,
+        # full-width digits, "_" separators or surrounding spaces.
+        ["approx", "--family", "gompertz", "--n-max", "\u0662"],
+        ["approx", "--family", "gompertz", "--n-max", "\uff12"],
+        ["approx", "--family", "gompertz", "--n-max", "0_1"],
+        ["approx", "--family", "gompertz", "--n-max", " 1"],
+        ["validate", "--family", "gompertz", "--n-max", "1 "],
+        ["approx", "--family", "zeta", "--k", "\u0662", "--n-max", "1"],
+        ["approx", "--family", "gompertz", "--n-max", "1", "--digits", "\u0663"],
+        ["moments", "--family", "gompertz", "--count", "\u0662"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):
@@ -329,6 +376,28 @@ def test_usage_errors_exit_2(runner, args):
     assert res.stdout == ""
     if "--moments-file" in args:  # a built-in family with a moment file, named
         assert res.stderr.endswith("Error: --moments-file only applies to --family custom\n")
+    if any(not arg.isascii() or "_" in arg or arg != arg.strip() for arg in args):
+        assert "is not a valid integer" in res.stderr
+
+
+def test_every_family_resolves_through_the_cli(runner, write_moments_file):
+    # The one dispatch from a --family name to its sequence: each name
+    # gives its sequence's name, first moments and reference, if any.
+    path = write_moments_file("mine", ["1", "7/2"])
+    expected = {
+        "gamma": ([], "gamma", ["1/2", "41/36"], "0.5772156649"),
+        "gompertz": ([], "gompertz", ["1", "2"], "0.5963473623"),
+        "zeta": (["--k", "3"], "zeta(3)", ["1", "7/8"], "1.202056903"),
+        "factorial": ([], "factorial", ["1", "1"], None),
+        "custom": (["--moments-file", str(path)], "mine", ["1", "7/2"], None),
+    }
+    assert FAMILIES == tuple(expected)
+    for family, (options, name, a, reference) in expected.items():
+        res = runner.invoke(main, ["moments", "--family", family, *options,
+                                   "--count", "2", "--format", "json"])
+        assert res.exit_code == 0, family
+        assert json.loads(res.stdout) == {
+            "name": name, "a": a, **({"reference": reference} if reference else {})}
 
 
 def test_moments_json_feeds_back_as_moments_file(runner, tmp_path):

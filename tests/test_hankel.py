@@ -10,13 +10,20 @@ from hankel_approx.cli import main
 from hankel_approx.driver import emit, run_convergence
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
-from hankel_approx.moments import MomentSequence, family_sequence, load_moments
+from hankel_approx.moments import (
+    MomentSequence,
+    factorial_sequence,
+    gamma_sequence,
+    gompertz_sequence,
+    load_moments,
+    zeta_sequence,
+)
 
 from .conftest import ortho_records, record_eliminations
 from .oracles import cofactor_det, hankel_matrix
 
 
-def test_build_matrices(gompertz_seq):
+def test_oracle_matrices_and_negative_n_rejected(gompertz_seq):
     # a_0 enters as 0 by construction.
     P, Q = [[0, 1, 2], [1, 2, 5], [2, 5, 16]], [[2, 5], [5, 16]]
     assert hankel_matrix(gompertz_seq, 0, 3) == P
@@ -37,7 +44,7 @@ def test_hankel_entries_depend_on_index_sum(gamma_seq):
                 assert M[i][j] == M[i + 1][j - 1]
 
 
-def test_det_fraction_free_known_values():
+def test_bordered_elimination_known_values():
     # (a_1, a_2, ...) -> the pairs (P_n, Q_n) the bordered elimination
     # yields; it stops after a pivot Q_n = 0.
     cases = [
@@ -128,14 +135,15 @@ def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_fi
     assert len(outputs[0].splitlines()) == 7
 
 
-@pytest.mark.parametrize("source", ["factorial", "gompertz", "custom"])
-def test_exact_route_returns_fractions_on_integer_moments(source, write_moments_file):
+@pytest.mark.parametrize("build", [factorial_sequence, gompertz_sequence, None],
+                         ids=["factorial", "gompertz", "custom"])
+def test_exact_route_returns_fractions_on_integer_moments(build, write_moments_file):
     # Integral entries stay ints inside the exact route, but every P, Q
     # and value it returns is a Fraction: int / int would be a float.
-    if source == "custom":  # integer moments with zero divisors: rows 2 .. 5 by elimination
+    if build is None:  # integer moments with zero divisors: rows 2 .. 5 by elimination
         seq = load_moments(write_moments_file("integers", [str(a) for a in SYMMETRIC]))
     else:
-        seq = family_sequence(source, None)
+        seq = build()
     values = [x for pair in hankel_sweep(seq, 5) for x in pair]
     values += [hankel_P(seq, 5), hankel_Q(seq, 5)]
     values += [x for r in run_convergence(seq, 5, "det") for x in (r.P, r.Q, r.value)]
@@ -143,15 +151,17 @@ def test_exact_route_returns_fractions_on_integer_moments(source, write_moments_
     assert {type(x) for x in values} == {Fraction}
 
 
-@pytest.mark.parametrize("family, k, top", [
-    ("gamma", None, 6), ("gompertz", None, 6), ("zeta", 2, 6), ("zeta", 3, 6),
-    ("factorial", None, 6), ("symmetric", None, 5)])
-def test_monotonicity_identity(family, k, top):
+@pytest.mark.parametrize("build, top", [
+    (gamma_sequence, 6), (gompertz_sequence, 6), (lambda: zeta_sequence(2), 6),
+    (lambda: zeta_sequence(3), 6), (factorial_sequence, 6),
+    (lambda: MomentSequence("symmetric", values=SYMMETRIC), 5),
+], ids=["gamma-None-6", "gompertz-None-6", "zeta-2-6", "zeta-3-6", "factorial-None-6",
+        "symmetric-None-5"])
+def test_monotonicity_identity(build, top):
     # P_n Q_{n-1} - P_{n-1} Q_n = (H^(1)_{n+1})^2, so A_n - A_{n-1} >= 0
     # whenever the Q's are positive: the paper's monotonicity. SYMMETRIC's
     # twelve moments reach n = 5.
-    seq = (MomentSequence(family, values=SYMMETRIC) if family == "symmetric"
-           else family_sequence(family, k))
+    seq = build()
     swept = list(hankel_sweep(seq, top))
     eliminated = list(hankel._eliminate(seq.moment, Fraction.__truediv__, top))
     for pairs in (swept, eliminated):

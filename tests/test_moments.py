@@ -7,10 +7,8 @@ import pytest
 from hankel_approx.errors import IndexOutOfRange, ParseError
 from hankel_approx.exactnum import MAX_DIGITS
 from hankel_approx.moments import (
-    FAMILIES,
     MomentSequence,
     ReferenceConstant,
-    family_sequence,
     factorial_moment,
     factorial_sequence,
     gamma_moment,
@@ -61,6 +59,8 @@ def test_zeta_moment_argument_checks():
         zeta_moment(1, 3)
     with pytest.raises(ValueError):
         zeta_moment(2, 0)
+    with pytest.raises(ValueError):
+        zeta_sequence(1)
 
 
 def test_gamma_moments_match_quadrature():
@@ -90,13 +90,6 @@ def test_sequence_caching_is_stable():
     assert len(seq.moments(3)) == 3
 
 
-def test_sequence_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        MomentSequence("x")
-    with pytest.raises(ValueError):
-        MomentSequence("x", fn=lambda n: Fraction(n), values=[Fraction(1)])
-
-
 def test_fixed_sequence_bounds():
     seq = MomentSequence("mine", values=[Fraction(1), Fraction(2), Fraction(5)])
     assert seq.moment(3) == 5
@@ -106,25 +99,6 @@ def test_fixed_sequence_bounds():
     assert excinfo.value.available == 3
     with pytest.raises(ValueError):
         seq.moment(0)
-
-
-def test_builtin_sequence_dispatch(write_moments_file):
-    assert set(FAMILIES) == {"gamma", "gompertz", "zeta", "factorial", "custom"}
-    assert family_sequence("gamma").name == "gamma"
-    assert family_sequence("zeta", 3).name == "zeta(3)"
-    assert family_sequence("zeta", 3).moments(2) == [1, Fraction(7, 8)]  # 1 - 1/2^3
-    assert family_sequence("factorial").reference is None
-    path = write_moments_file("mine", ["1", "7/2"])
-    custom = family_sequence("custom", moments_file=path)
-    assert (custom.name, custom.moments(2)) == ("mine", [1, Fraction(7, 2)])
-    with pytest.raises(ValueError):
-        family_sequence("zeta")
-    with pytest.raises(ValueError, match="custom family requires a moments file"):
-        family_sequence("custom")
-    with pytest.raises(ValueError):
-        family_sequence("fibonacci")
-    with pytest.raises(ValueError):
-        zeta_sequence(1)
 
 
 def test_references():

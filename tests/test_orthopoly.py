@@ -47,7 +47,7 @@ def norms(pairs) -> list:
     return [q / prev for q, prev in zip(Q, [1] + Q)]
 
 
-def test_ortho_init(gompertz_seq, coefficients):
+def test_ortho_sweep_first_pair_is_a1_squared_over_a2(gompertz_seq, coefficients):
     m, (P, Q) = next(enumerate(ortho_sweep(gompertz_seq, 0)))
     assert m == 0
     assert norms([(P, Q)]) == [2]  # a_2
@@ -55,7 +55,7 @@ def test_ortho_init(gompertz_seq, coefficients):
     assert P / Q == Fraction(1, 2)  # a_1^2 / a_2
 
 
-def test_ortho_init_rejects_nonpositive_a2():
+def test_ortho_sweep_rejects_nonpositive_a2():
     seq = MomentSequence("bad", values=[Fraction(1), Fraction(-1)])
     with pytest.raises(PositivityViolation) as excinfo:
         next(ortho_sweep(seq, 3))
@@ -63,7 +63,7 @@ def test_ortho_init_rejects_nonpositive_a2():
     assert excinfo.value.value == -1
 
 
-def test_ortho_step_returns_new_state(gompertz_seq, coefficients):
+def test_ortho_sweep_second_pair_and_first_coefficients(gompertz_seq, coefficients):
     pairs = list(ortho_sweep(gompertz_seq, 1))
     assert pairs[0] == (1, 2)  # the first pair stays as yielded
     assert len(pairs) == 2 and norms(pairs) == [2, Fraction(7, 2)]
@@ -72,7 +72,7 @@ def test_ortho_step_returns_new_state(gompertz_seq, coefficients):
     assert pairs[1][0] / pairs[1][1] == Fraction(4, 7)
 
 
-def test_ortho_states_yields_every_index(zeta3_seq, coefficients):
+def test_ortho_sweep_yields_every_index(zeta3_seq, coefficients):
     pairs = list(ortho_sweep(zeta3_seq, 6))
     assert [m for m, _ in enumerate(pairs)] == list(range(7))
     assert len(coefficients) == 6
@@ -92,7 +92,7 @@ def test_orthogonality_small(gompertz_seq, coefficients):
         assert inner_product(polys[i], polys[i], gompertz_seq) == t[i]
 
 
-def test_validated_step_rejects_lost_orthogonality(gompertz_seq, skewed_alpha_1):
+def test_ortho_sweep_stops_at_lost_orthogonality(gompertz_seq, skewed_alpha_1):
     pairs = []
     with pytest.raises(OrthogonalityLost) as excinfo:
         for pair in ortho_sweep(gompertz_seq, 4):
