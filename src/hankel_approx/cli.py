@@ -14,12 +14,12 @@ import click
 
 from .driver import FORMATS, METHODS, cross_validate, emit, run_convergence
 from .errors import (
-    EngineMismatch,
+    EXIT_IO,
+    EXIT_POSITIVITY,
+    EXIT_VALIDATION,
     IndexOutOfRange,
-    NonPositiveQ,
-    OrthogonalityLost,
     ParseError,
-    PositivityViolation,
+    RunStopped,
 )
 from .exactnum import DEFAULT_DIGITS, MAX_DIGITS, format_rational
 from .moments import (
@@ -29,10 +29,6 @@ from .moments import (
     load_moments,
     zeta_sequence,
 )
-
-EXIT_VALIDATION = 2
-EXIT_POSITIVITY = 3
-EXIT_IO = 4
 
 # CLI-only guard: (i+1)^k growth makes huge k useless interactively.
 MAX_CLI_K = 64
@@ -104,11 +100,15 @@ def family_options(fn):
     return fn
 
 
-def _exit_short_file(exc: IndexOutOfRange):
-    """Report a moment file too short for --n-max, naming the largest n it supports."""
-    top = (exc.available - 2) // 2  # n needs a_1 .. a_{2n+2}
-    supported = f"n <= {top}" if top >= 0 else "no n"
-    _exit(f"{exc}; the moment file supports {supported}", EXIT_IO)
+def _exit_stopped(exc: RunStopped):
+    """Report a stopped run and exit with its code; a moment file too short
+    for --n-max also names the largest n it supports."""
+    message = str(exc)
+    if isinstance(exc, IndexOutOfRange):
+        top = (exc.available - 2) // 2  # n needs a_1 .. a_{2n+2}
+        supported = f"n <= {top}" if top >= 0 else "no n"
+        message += f"; the moment file supports {supported}"
+    _exit(message, exc.exit_code)
 
 
 @click.group()
@@ -138,10 +138,9 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
     seq = _sequence(family, k, moments_file)
     try:
         records, stop = run_convergence(seq, n_max, method), None
-    except (EngineMismatch, OrthogonalityLost) as exc:
-        _exit(exc, EXIT_VALIDATION)
-    except (IndexOutOfRange, PositivityViolation, NonPositiveQ) as exc:
-        records, stop = exc.records, exc  # print and write the rows before the stop
+    except RunStopped as exc:
+        # print and write the rows before the stop, unless the routes disagree (exit 2)
+        records, stop = (None if exc.exit_code == EXIT_VALIDATION else exc.records), exc
     if records:
         text = emit(records, fmt, digits, exact)
         if out is not None:
@@ -151,10 +150,8 @@ def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
             except OSError as exc:
                 _exit(exc, EXIT_IO)
         click.echo(text)
-    if isinstance(stop, IndexOutOfRange):
-        _exit_short_file(stop)
     if stop is not None:
-        _exit(stop, EXIT_POSITIVITY)
+        _exit_stopped(stop)
 
 
 @main.command()
@@ -193,10 +190,8 @@ def validate(family, k, n_max, moments_file):
     seq = _sequence(family, k, moments_file)
     try:
         checks = cross_validate(seq, n_max)
-    except IndexOutOfRange as exc:
-        _exit_short_file(exc)
-    except OrthogonalityLost as exc:
-        _exit(exc, EXIT_VALIDATION)
+    except RunStopped as exc:
+        _exit_stopped(exc)
     for name, passed, detail in checks:
         click.echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     failed = [name for name, passed, _ in checks if not passed]

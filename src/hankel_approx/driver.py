@@ -22,8 +22,8 @@ check lines that ``validate`` prints, as (name, passed, detail) tuples.
 Both take a MomentSequence, which ``cli._sequence`` builds.
 
 Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
-NonPositiveQ, IndexOutOfRange) carry the records produced before the
-failure so callers can still report partial progress.
+NonPositiveQ, IndexOutOfRange) are RunStopped errors: they carry the records
+produced before the failure so callers can still report partial progress.
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import (
-    EngineMismatch,
-    IndexOutOfRange,
-    NonPositiveQ,
-    OrthogonalityLost,
-    PositivityViolation,
-)
+from .errors import EngineMismatch, NonPositiveQ, PositivityViolation, RunStopped
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import MomentSequence
@@ -119,8 +113,7 @@ def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
             value = P / Q
             gap = ref_value - value if ref_value is not None else None
             records.append(ApproximantRecord(n, P, Q, value, gap, method))
-    except (PositivityViolation, NonPositiveQ, EngineMismatch, OrthogonalityLost,
-            IndexOutOfRange) as exc:
+    except RunStopped as exc:
         exc.records = records
         raise
     return records

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the CLI's exit codes."""
+
+EXIT_VALIDATION = 2
+EXIT_POSITIVITY = 3
+EXIT_IO = 4
 
 
 def _brief(text, length=None) -> str:
@@ -24,53 +28,57 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class IndexOutOfRange(IndexError):
-    """A fixed moment sequence was asked for an index it does not hold.
+class RunStopped(Exception):
+    """A walk over n = 0, 1, ... stopped at n = len(records): the walk sets
+    ``records`` to the rows it finished before the stop (None until then).
+    ``exit_code`` is the CLI's exit code for this kind of stop."""
 
-    Drivers may attach the ``records`` they produced before running out.
-    """
+    records = None
+    exit_code: int
+
+
+class IndexOutOfRange(RunStopped, IndexError):
+    """A fixed moment sequence was asked for an index it does not hold."""
+
+    exit_code = EXIT_IO
 
     def __init__(self, requested, available):
         self.requested = requested
         self.available = available
-        self.records = None
         super().__init__(
             f"moment index {requested} out of range: only {available} moments available"
         )
 
 
-class NonPositiveQ(ArithmeticError):
+class NonPositiveQ(RunStopped, ArithmeticError):
     """A shifted Hankel determinant Q_n came out <= 0.
 
     The positivity hypothesis fails for this moment sequence; expected for
     some custom inputs, a bug for the built-in families.
     """
 
+    exit_code = EXIT_POSITIVITY
+
     def __init__(self, n, value):
         self.n = n
         self.value = value
-        self.records = None
         super().__init__(f"Q_{n} = {_brief(value)} is not positive")
 
 
-class PositivityViolation(ArithmeticError):
-    """The moment bilinear form stopped being positive definite.
+class PositivityViolation(RunStopped, ArithmeticError):
+    """The moment bilinear form stopped being positive definite at degree ``index``."""
 
-    ``index`` is the first failing polynomial degree. Drivers may attach
-    the ``records`` they produced so far, so callers can report how far the
-    sequence stayed positive definite.
-    """
+    exit_code = EXIT_POSITIVITY
 
     def __init__(self, index, value):
         self.index = index
         self.value = value
-        self.records = None
         super().__init__(
             f"positive definiteness fails at degree {index}: squared norm {_brief(value)} <= 0"
         )
 
 
-class EngineMismatch(RuntimeError):
+class EngineMismatch(RunStopped, RuntimeError):
     """The paths disagreed at n: ``det_pair`` is the determinants' (P_n, Q_n),
     ``ortho_pair`` the recurrence's (A_n N_n, N_n) with N_n = t_0 ... t_n.
 
@@ -78,32 +86,31 @@ class EngineMismatch(RuntimeError):
     whose denominator p divides); without one they are exact.
     """
 
+    exit_code = EXIT_VALIDATION
+
     def __init__(self, n, det_pair, ortho_pair, modulus=None):
         self.n = n
         self.det_pair = det_pair
         self.ortho_pair = ortho_pair
         self.modulus = modulus
-        self.records = None
+        det, ortho = (_brief(f"({a}, {b})") for a, b in (det_pair, ortho_pair))
         residues = "" if modulus is None else f", both mod {modulus}"
         super().__init__(
-            f"engines disagree at n={n}: determinant path (P_n, Q_n) = "
-            f"({det_pair[0]}, {det_pair[1]}), recurrence path (A_n N_n, N_n) = "
-            f"({ortho_pair[0]}, {ortho_pair[1]}){residues}"
+            f"engines disagree at n={n}: determinant path (P_n, Q_n) = {det}, "
+            f"recurrence path (A_n N_n, N_n) = {ortho}{residues}"
         )
 
 
-class OrthogonalityLost(RuntimeError):
-    """The recurrence produced q_degree not orthogonal to q_other.
+class OrthogonalityLost(RunStopped, RuntimeError):
+    """The recurrence produced q_degree not orthogonal to q_other;
+    ``residual`` is <q_degree, q_other>."""
 
-    ``residual`` is <q_degree, q_other>. Drivers may attach the ``records``
-    they produced before the failure.
-    """
+    exit_code = EXIT_VALIDATION
 
     def __init__(self, degree, other, residual):
         self.degree = degree
         self.other = other
         self.residual = residual
-        self.records = None
         super().__init__(
-            f"orthogonality lost: <q_{degree}, q_{other}> = {residual}"
+            f"orthogonality lost: <q_{degree}, q_{other}> = {_brief(residual)}"
         )

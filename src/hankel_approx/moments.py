@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.decoder import scanstring
 from math import comb, factorial
 from pathlib import Path
 
@@ -147,10 +148,18 @@ def factorial_sequence() -> MomentSequence:
 
 
 def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:
-    # Best-effort line/column of a quoted token in the source text.
-    at = raw.find(f'"{token}"')
-    if at < 0:
+    """Line and column of the string literal in the JSON text ``raw`` that
+    decodes to ``token``; (None, None) unless exactly one does, as then the
+    literal that was parsed cannot be told apart from the others."""
+    found, at = [], raw.find('"')
+    while at >= 0:
+        text, end = scanstring(raw, at + 1)
+        if text == token:
+            found.append(at)
+        at = raw.find('"', end)
+    if len(found) != 1:
         return None, None
+    at = found[0]
     line = raw.count("\n", 0, at) + 1
     column = at - (raw.rfind("\n", 0, at) + 1) + 1
     return line, column

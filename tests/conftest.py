@@ -6,7 +6,7 @@ import pytest
 
 from hankel_approx import driver, hankel, orthopoly
 from hankel_approx.driver import ApproximantRecord
-from hankel_approx.errors import IndexOutOfRange, OrthogonalityLost, PositivityViolation
+from hankel_approx.errors import RunStopped
 from hankel_approx.moments import (
     factorial_sequence,
     gamma_sequence,
@@ -56,19 +56,30 @@ def write_moments_file(tmp_path):
 
 
 @pytest.fixture
-def skewed_alpha_1(monkeypatch):
-    """Shift the recurrence's alpha_1 by one.
+def skew_alpha(monkeypatch):
+    """Return a helper that shifts the recurrence's alpha_k by one.
 
-    The skewed q_2 is the true one minus q_1, so it stays orthogonal to
-    q_0 but <q_2, q_1> = -t_1, and the recurrence must stop at degree 2.
+    After ``skew_alpha(k)`` the skewed q_{k+1} is the true one minus q_k, so
+    it stays orthogonal to q_0 .. q_{k-1} but <q_{k+1}, q_k> = -t_k, and the
+    recurrence must stop at degree k + 1.
     """
     exact = orthopoly._coefficients
 
-    def skewed(sigma, t, k):
-        alpha, beta = exact(sigma, t, k)
-        return (alpha + 1 if k == 1 else alpha), beta
+    def skew(bad_k):
+        def skewed(sigma, t, k):
+            alpha, beta = exact(sigma, t, k)
+            return (alpha + 1 if k == bad_k else alpha), beta
 
-    monkeypatch.setattr(orthopoly, "_coefficients", skewed)
+        monkeypatch.setattr(orthopoly, "_coefficients", skewed)
+
+    return skew
+
+
+@pytest.fixture
+def skewed_alpha_1(skew_alpha):
+    """Shift the recurrence's alpha_1 by one: it must stop at degree 2, with
+    <q_2, q_1> = -t_1."""
+    skew_alpha(1)
 
 
 def ortho_records(seq, n_max: int) -> list:
@@ -79,7 +90,7 @@ def ortho_records(seq, n_max: int) -> list:
     try:
         for n, (P, Q) in enumerate(orthopoly.ortho_sweep(seq, n_max)):
             records.append(ApproximantRecord(n, P, Q, P / Q, None, "ortho"))
-    except (IndexOutOfRange, OrthogonalityLost, PositivityViolation) as exc:
+    except RunStopped as exc:
         exc.records = records
         raise
     return records

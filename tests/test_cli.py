@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import hankel_approx
-from hankel_approx import hankel
+from hankel_approx import driver, hankel
 from hankel_approx.cli import FAMILIES, MAX_DIGITS, main
 from hankel_approx.driver import CHECK_PRIME, emit
 from hankel_approx.errors import PositivityViolation
@@ -196,16 +196,23 @@ def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
     ('{"name": "x", "a": [' + "[" * 900 + "]" * 900 + "]}",
      "error: moment a_1 must be a rational string, got a JSON array\n"),
     ('{"name": "x", "a": ["\\u0661", "\\u0662"]}',
-     "error: moment a_1: not a rational: '\u0661'\n"),
+     "error: moment a_1: not a rational: '\u0661' (line 1, column 21)\n"),
     ('{"name": "x", "a": ["1", "2"], "reference": "\\u0660.5"}',
-     "error: reference: not a fixed-point decimal: '\u0660.5'\n"),
+     "error: reference: not a fixed-point decimal: '\u0660.5' (line 1, column 45)\n"),
+    ('{"name": "abc",\n "a": ["1", "abc"]}',
+     "error: moment a_2: not a rational: 'abc'\n"),
+    ('{"name": "x\\"abc", "a": ["1", "abc"]}',
+     "error: moment a_2: not a rational: 'abc' (line 1, column 31)\n"),
 ], ids=["nested", "long-moment", "long-reference", "long-literal", "long-literal-name",
-        "nested-entry", "non-ascii-moment", "non-ascii-reference"])
+        "nested-entry", "non-ascii-moment", "non-ascii-reference", "entry-equals-name",
+        "entry-inside-name"])
 def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, stderr):
     # Too deep for the JSON parser, more digits than the int/str limit that
     # importing the package sets, an entry whose text must not be echoed, or
     # digits outside 0-9 (Arabic-Indic here), which int() alone would read:
-    # one short error line, no traceback.
+    # one short error line, no traceback. A bad string's position is that of
+    # the one literal decoding to it, escapes and all; with two such
+    # literals (the name and the entry) the line gives none.
     path = tmp_path / "hostile.json"
     path.write_text(text)
     res = runner.invoke(main, command + ["--family", "custom", "--moments-file", str(path)])
@@ -590,6 +597,21 @@ def test_approx_reports_lost_orthogonality(runner, skewed_alpha_1):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == "error: orthogonality lost: <q_2, q_1> = -7/2\n"
+
+
+@pytest.mark.parametrize("stop", ["mismatch", "orthogonality"])
+def test_long_stop_values_are_cut_short(runner, monkeypatch, skew_sweep, skew_alpha, stop):
+    # On gamma the exact pairs and residuals run to hundreds of digits by
+    # n = 8; each is cut as a moment file's tokens are.
+    if stop == "mismatch":
+        monkeypatch.setattr(driver, "hankel_residues", lambda *args: iter(()))  # all exact
+        skew_sweep(8, lambda P, Q: (2 * P, Q))
+    else:
+        skew_alpha(6)  # <q_7, q_6> = -t_6
+    res = runner.invoke(main, ["approx", "--family", "gamma", "--n-max", "9"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert len(res.stderr) - 1 <= 300
 
 
 def test_help_screens(runner):

@@ -22,6 +22,7 @@ from hankel_approx.errors import (
     NonPositiveQ,
     OrthogonalityLost,
     PositivityViolation,
+    RunStopped,
 )
 from hankel_approx.exactnum import rat_to_decimal
 from hankel_approx.hankel import hankel_residues
@@ -173,6 +174,15 @@ def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
         run_convergence(gompertz_sequence(), 4)
     assert excinfo.value.degree == 2
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
+
+
+def test_every_stop_is_a_run_stopped_with_its_exit_code():
+    # perfbench's moment-load observer reads moments until an IndexError.
+    assert issubclass(IndexOutOfRange, IndexError)
+    codes = {IndexOutOfRange: 4, NonPositiveQ: 3, PositivityViolation: 3,
+             EngineMismatch: 2, OrthogonalityLost: 2}
+    assert all(issubclass(cls, RunStopped) for cls in codes)
+    assert {cls: cls.exit_code for cls in codes} == codes
 
 
 def test_compare_reference():
