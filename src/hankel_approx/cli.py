@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 all checks pass, 2 validation failure, 3 positivity
-violation, 4 I/O or parse error.
+Exit codes: 0 all checks pass, 2 validation failure or usage error, 3
+positivity violation, 4 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-
-import click
+from argparse import ArgumentParser, ArgumentTypeError
 
 from .driver import FORMATS, METHODS, cross_validate, emit, run_convergence
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
     RunStopped,
+    _brief,
 )
 from .exactnum import DEFAULT_DIGITS, MAX_DIGITS, format_rational
 from .moments import (
@@ -34,70 +34,56 @@ from .moments import (
 MAX_CLI_K = 64
 
 
-class _Integer(click.IntRange):
-    """click's integer type, a range when bounded, reading only [+-]?[0-9]+
-    as moment files do: click's int() also takes other scripts' digits,
-    "_" separators and surrounding spaces."""
+def _integer(low, high=None):
+    """An integer option's type, at least ``low`` and at most any ``high``,
+    reading only [+-]?[0-9]+ as moment files do: int() also takes other
+    scripts' digits, "_" separators and surrounding spaces."""
+    bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
 
-    def __init__(self, min=None, max=None):
-        super().__init__(min, max)
-        if min is None and max is None:
-            self.name = "integer"  # as click.INT, and with no range in --help
+    def convert(text):
+        if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+            raise ArgumentTypeError(f"{_brief(repr(text))} is not a valid integer.")
+        value = int(text)  # an argument's length is far below the int/str digit limit
+        if value < low or (high is not None and value > high):
+            raise ArgumentTypeError(f"{_brief(value)} is not in the range {bounds}.")
+        return value
 
-    def _describe_range(self) -> str:
-        return "" if self.name == "integer" else super()._describe_range()
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value) is None:
-            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
-        return super().convert(value, param, ctx)
+    return convert
 
 
 def _exit(message, code: int):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
 FAMILIES = ("gamma", "gompertz", "zeta", "factorial", "custom")  # --family, in help order
 
 
-def _sequence(family, k, moments_file):
+def _sequence(args):
     """The moment sequence the family options name: the one place that maps
     a --family name to its builder.
 
     A combination of options that does not fit the family is a usage error
     (exit 2); a moment file that cannot be read or parsed exits 4.
     """
-    if family == "zeta":
-        if k is None:
-            raise click.UsageError("--family zeta requires --k")
-        if not 2 <= k <= MAX_CLI_K:
-            raise click.UsageError(f"--k must be in [2, {MAX_CLI_K}]")
-    elif k is not None:
-        raise click.UsageError("--k only applies to --family zeta")
+    family, error = args.family, args.parser.error  # error() exits 2
+    if family == "zeta" and args.k is None:
+        error("--family zeta requires --k")
+    if family != "zeta" and args.k is not None:
+        error("--k only applies to --family zeta")
     if family != "custom":
-        if moments_file is not None:
-            raise click.UsageError("--moments-file only applies to --family custom")
+        if args.moments_file is not None:
+            error("--moments-file only applies to --family custom")
         if family == "zeta":
-            return zeta_sequence(k)
+            return zeta_sequence(args.k)
         return {"gamma": gamma_sequence, "gompertz": gompertz_sequence,
                 "factorial": factorial_sequence}[family]()
-    if not moments_file:
-        raise click.UsageError("--family custom requires --moments-file")
+    if not args.moments_file:
+        error("--family custom requires --moments-file")
     try:
-        return load_moments(moments_file)
+        return load_moments(args.moments_file)
     except (ParseError, OSError) as exc:
         _exit(exc, EXIT_IO)
-
-
-def family_options(fn):
-    fn = click.option("--moments-file", type=click.Path(), default=None,
-                      help="Moment file for --family custom.")(fn)
-    fn = click.option("--family", type=click.Choice(FAMILIES), required=True,
-                      help="Moment family; custom reads --moments-file.")(fn)
-    fn = click.option("--k", type=_Integer(), default=None,
-                      help=f"Exponent for the zeta family (2 <= k <= {MAX_CLI_K}).")(fn)
-    return fn
 
 
 def _exit_stopped(exc: RunStopped):
@@ -111,94 +97,115 @@ def _exit_stopped(exc: RunStopped):
     _exit(message, exc.exit_code)
 
 
-@click.group()
-def main():
-    """Exact rational approximants from moment sequences."""
-
-
-@main.command()
-@family_options
-@click.option("--n-max", type=_Integer(min=0), required=True,
-              help="Highest approximant index to compute.")
-@click.option("--method", type=click.Choice(METHODS), default="both",
-              show_default=True,
-              help="det: exact determinants, unchecked; both: exact recurrence, "
-                   "checked against the determinants mod 2^61 - 1.")
-@click.option("--digits", type=_Integer(min=1, max=MAX_DIGITS),
-              default=DEFAULT_DIGITS, show_default=True,
-              help="Fractional digits in the decimal column.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS),
-              default="table", show_default=True)
-@click.option("--exact", is_flag=True,
-              help="Print full rationals in table format, however large.")
-@click.option("--out", type=click.Path(), default=None,
-              help="Also write the rendered output to this path.")
-def approx(family, k, n_max, method, digits, fmt, exact, moments_file, out):
-    """Compute approximants P_n/Q_n for n = 0 .. N-MAX."""
-    seq = _sequence(family, k, moments_file)
+def approx(args):
+    """Compute approximants P_n/Q_n for n = 0 .. N_MAX."""
+    seq = _sequence(args)
     try:
-        records, stop = run_convergence(seq, n_max, method), None
+        records, stop = run_convergence(seq, args.n_max, args.method), None
     except RunStopped as exc:
         # print and write the rows before the stop, unless the routes disagree (exit 2)
         records, stop = (None if exc.exit_code == EXIT_VALIDATION else exc.records), exc
     if records:
-        text = emit(records, fmt, digits, exact)
-        if out is not None:
+        text = emit(records, args.fmt, args.digits, args.exact)
+        if args.out is not None:
             try:
-                with open(out, "w") as fh:
+                with open(args.out, "w") as fh:
                     fh.write(text)
             except OSError as exc:
                 _exit(exc, EXIT_IO)
-        click.echo(text)
+        print(text)
     if stop is not None:
         _exit_stopped(stop)
 
 
-@main.command()
-@family_options
-@click.option("--count", type=_Integer(min=1), required=True,
-              help="How many moments a_1 .. a_count to emit.")
-@click.option("--format", "fmt", type=click.Choice(("json", "csv")),
-              default="json", show_default=True)
-def moments(family, k, count, fmt, moments_file):
+def moments(args):
     """Print the first COUNT moments of a family.
 
     JSON output uses the moment-file schema, so it can be fed back through
     --moments-file.
     """
-    seq = _sequence(family, k, moments_file)
+    seq = _sequence(args)
     try:
-        values = seq.moments(count)
+        values = seq.moments(args.count)
     except IndexOutOfRange as exc:
         _exit(exc, EXIT_IO)
-    if fmt == "json":
+    if args.fmt == "json":
         doc = {"name": seq.name, "a": [format_rational(v) for v in values]}
         if seq.reference is not None:
             doc["reference"] = seq.reference.decimal
-        click.echo(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        click.echo("\n".join(["n,a"] + [f"{n},{format_rational(v)}"
-                                         for n, v in enumerate(values, start=1)]))
+        print("\n".join(["n,a"] + [f"{n},{format_rational(v)}"
+                                   for n, v in enumerate(values, start=1)]))
 
 
-@main.command()
-@family_options
-@click.option("--n-max", type=_Integer(min=0), required=True,
-              help="Highest index to validate.")
-def validate(family, k, n_max, moments_file):
+def validate(args):
     """Cross-check the determinant and recurrence engines."""
-    seq = _sequence(family, k, moments_file)
+    seq = _sequence(args)
     try:
-        checks = cross_validate(seq, n_max)
+        checks = cross_validate(seq, args.n_max)
     except RunStopped as exc:
         _exit_stopped(exc)
     for name, passed, detail in checks:
-        click.echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     failed = [name for name, passed, _ in checks if not passed]
     if failed == ["positive-definite"]:
         sys.exit(EXIT_POSITIVITY)
     if failed:
         sys.exit(EXIT_VALIDATION)
+
+
+def _parser(**kwargs) -> ArgumentParser:
+    """A parser that takes options only spelled in full (--fam is an error)
+    and has --help but no -h."""
+    parser = ArgumentParser(allow_abbrev=False, add_help=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _command(commands, run) -> ArgumentParser:
+    """The subcommand parser that calls ``run(args)``, with the family options."""
+    sub = commands.add_parser(run.__name__, usage="%(prog)s [OPTIONS]",
+                              help=run.__doc__.partition("\n")[0], description=run.__doc__)
+    sub.set_defaults(run=run, parser=sub)
+    sub.add_argument("--family", choices=FAMILIES, required=True,
+                     help="Moment family; custom reads --moments-file.")
+    sub.add_argument("--k", type=_integer(2, MAX_CLI_K),
+                     help=f"Exponent for the zeta family (2 <= k <= {MAX_CLI_K}).")
+    sub.add_argument("--moments-file", metavar="PATH", help="Moment file for --family custom.")
+    return sub
+
+
+def main(argv=None):
+    """Run the command line on ``argv`` (default sys.argv[1:]); usage errors exit 2."""
+    parser = _parser(prog="hankel-approx",
+                     description="Exact rational approximants from moment sequences.")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND", parser_class=_parser)
+    sub = _command(commands, approx)
+    sub.add_argument("--n-max", type=_integer(0), required=True,
+                     help="Highest approximant index to compute.")
+    sub.add_argument("--method", choices=METHODS, default="both", help="det: exact determinants, "
+                     "unchecked; both (default): exact recurrence checked mod 2^61 - 1.")
+    sub.add_argument("--digits", type=_integer(1, MAX_DIGITS), default=DEFAULT_DIGITS,
+                     help=f"Decimal places, 1<=x<={MAX_DIGITS} (default: {DEFAULT_DIGITS}).")
+    sub.add_argument("--format", dest="fmt", choices=FORMATS, default="table",
+                     help="Output format (default: table).")
+    sub.add_argument("--exact", action="store_true",
+                     help="Print full rationals in table format, however large.")
+    sub.add_argument("--out", metavar="PATH", help="Also write the rendered output to this path.")
+    sub = _command(commands, moments)
+    sub.add_argument("--count", type=_integer(1), required=True,
+                     help="How many moments a_1 .. a_count to emit.")
+    sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                     help="Output format (default: json).")
+    sub = _command(commands, validate)
+    sub.add_argument("--n-max", type=_integer(0), required=True, help="Highest index to validate.")
+    args = parser.parse_args(argv)
+    args.run(args)
+
+
+# perfbench/run.py still calls click's entry point; ROADMAP item 3 removes this alias.
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 
 if __name__ == "__main__":

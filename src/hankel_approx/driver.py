@@ -29,7 +29,7 @@ produced before the failure so callers can still report partial progress.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -47,17 +47,9 @@ FORMATS = ("table", "csv", "json")
 # approx's default check compares both routes mod this fixed (Mersenne) prime.
 CHECK_PRIME = 2**61 - 1
 
-
-@dataclass(frozen=True)
-class ApproximantRecord:
-    """One convergence row: exact P_n, Q_n, their ratio, and the gap to the target."""
-
-    n: int
-    P: Fraction
-    Q: Fraction
-    value: Fraction
-    gap: Fraction | None
-    method: str
+# One convergence row: index n, exact P_n and Q_n, their ratio ``value``, the
+# ``gap`` to the target (None without a reference) and the ``method`` used.
+ApproximantRecord = namedtuple("ApproximantRecord", "n P Q value gap method")
 
 
 def _determinant_checks(seq, n_max: int, exact: bool):

@@ -43,9 +43,9 @@ replaces the rest.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
 
 from .errors import NonPositiveQ
 from .moments import MomentSequence

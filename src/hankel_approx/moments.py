@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from json.decoder import scanstring
 from math import comb, factorial
@@ -43,11 +43,8 @@ REFERENCE_DECIMALS = {
 }
 
 
-@dataclass(frozen=True)
-class ReferenceConstant:
+class ReferenceConstant(namedtuple("ReferenceConstant", "decimal")):
     """A target constant L(e_0), kept as its published decimal string."""
-
-    decimal: str
 
     def as_fraction(self) -> Fraction:
         return parse_decimal(self.decimal)

@@ -53,8 +53,8 @@ pairs yielded before it stay valid.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import OrthogonalityLost, PositivityViolation
 from .moments import MomentSequence

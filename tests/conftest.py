@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from collections import namedtuple
 
 import pytest
 
 from hankel_approx import driver, hankel, orthopoly
+from hankel_approx.cli import main
 from hankel_approx.driver import ApproximantRecord
 from hankel_approx.errors import RunStopped
 from hankel_approx.moments import (
@@ -13,6 +17,22 @@ from hankel_approx.moments import (
     gompertz_sequence,
     zeta_sequence,
 )
+
+
+CliRun = namedtuple("CliRun", "exit_code stdout stderr")
+
+
+def run_cli(args) -> CliRun:
+    """Run the command line in this process on ``args``: its exit code (0
+    when it returns), stdout and stderr. Any other exception propagates."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliRun(code, stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture

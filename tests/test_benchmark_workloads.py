@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from hankel_approx.cli import main
+from .conftest import run_cli
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -42,5 +41,5 @@ def workloads():
     ("gamma_both", 3), ("factorial_det", 5), ("measure_ortho", 4)])
 def test_benchmark_workload_passes_its_own_check(workloads, tmp_path, factory, n_max):
     workload = getattr(workloads, factory)(n_max=n_max)
-    res = CliRunner().invoke(main, workload.prepare(1, tmp_path))
+    res = run_cli(workload.prepare(1, tmp_path))
     assert workload.check(res.exit_code, res.stdout) is None, res.stderr

@@ -8,93 +8,77 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import hankel_approx
 from hankel_approx import driver, hankel
-from hankel_approx.cli import FAMILIES, MAX_DIGITS, main
+from hankel_approx.cli import FAMILIES, MAX_DIGITS
 from hankel_approx.driver import CHECK_PRIME, emit
 from hankel_approx.errors import PositivityViolation
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import load_moments
 
-from .conftest import ortho_records, record_eliminations
+from .conftest import ortho_records, record_eliminations, run_cli
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def test_approx_table(runner):
-    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "3"])
+def test_approx_table():
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "3"])
     assert res.exit_code == 0
-    lines = res.output.splitlines()
+    lines = res.stdout.splitlines()
     assert lines == [
         f"{n} | {GOMPERTZ_ROWS[n][0]} | {GOMPERTZ_ROWS[n][1]}" for n in range(4)
     ]
 
 
-def test_approx_digits_option(runner):
-    res = runner.invoke(
-        main, ["approx", "--family", "gompertz", "--n-max", "1", "--digits", "3"])
+def test_approx_digits_option():
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "1", "--digits", "3"])
     assert res.exit_code == 0
-    assert res.output.splitlines() == ["0 | 1/2 | 0.500", "1 | 4/7 | 0.571"]
+    assert res.stdout.splitlines() == ["0 | 1/2 | 0.500", "1 | 4/7 | 0.571"]
     # Above the ceiling the request is refused before any work starts.
-    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "0",
-                               "--digits", str(MAX_DIGITS + 1)])
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "0",
+                   "--digits", str(MAX_DIGITS + 1)])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"is not in the range 1<=x<={MAX_DIGITS}" in res.stderr
 
 
-def test_approx_csv(runner):
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "zeta", "--k", "2", "--n-max", "2", "--format", "csv"],
-    )
+def test_approx_csv():
+    res = run_cli(["approx", "--family", "zeta", "--k", "2", "--n-max", "2", "--format", "csv"])
     assert res.exit_code == 0
-    lines = res.output.splitlines()
+    lines = res.stdout.splitlines()
     assert lines[0] == "n,P,Q,value,gap"
     assert len(lines) == 4
     assert lines[2].split(",")[3] == "135/89"
 
 
-def test_approx_json_roundtrips(runner):
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "factorial", "--n-max", "3", "--format", "json"],
-    )
+def test_approx_json_roundtrips():
+    res = run_cli(["approx", "--family", "factorial", "--n-max", "3", "--format", "json"])
     assert res.exit_code == 0
-    records = records_from_json(res.output)
+    records = records_from_json(res.stdout)
     assert [str(r.value) for r in records] == ["1", "3/2", "11/6", "25/12"]
     assert all(r.gap is None for r in records)
 
 
-def test_approx_exact_flag(runner):
+def test_approx_exact_flag():
     args = ["approx", "--family", "gompertz", "--n-max", "21"]
-    elided = runner.invoke(main, args)
+    elided = run_cli(args)
     assert elided.exit_code == 0
-    last = elided.output.splitlines()[-1]
+    last = elided.stdout.splitlines()[-1]
     assert last.startswith("21 | - | ")
-    full = runner.invoke(main, args + ["--exact"])
-    assert "714785218276618032951940/1198605668577020653881647" in full.output
+    full = run_cli(args + ["--exact"])
+    assert "714785218276618032951940/1198605668577020653881647" in full.stdout
 
 
-def test_approx_out_file(runner, tmp_path):
+def test_approx_out_file(tmp_path):
     out = tmp_path / "table.csv"
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "gompertz", "--n-max", "2", "--format", "csv",
-         "--out", str(out)],
-    )
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "2", "--format", "csv",
+                   "--out", str(out)])
     assert res.exit_code == 0
-    assert out.read_text() == res.output.rstrip("\n")
+    assert out.read_text() == res.stdout.rstrip("\n")
     # An --out that cannot be written fails before anything is printed.
-    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "2",
-                               "--out", str(tmp_path)])
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "2",
+                   "--out", str(tmp_path)])
     assert (res.exit_code, res.stdout) == (4, "")
     assert res.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
@@ -103,63 +87,51 @@ def test_approx_out_file(runner, tmp_path):
     (["1"] * 6, 3),  # not positive definite: t_1 = 0
     (["1", "2", "5", "16"], 4),  # too short for n = 2
 ], ids=["flat", "short"])
-def test_approx_out_file_holds_the_rows_of_a_stopped_run(runner, write_moments_file,
+def test_approx_out_file_holds_the_rows_of_a_stopped_run(write_moments_file,
                                                          tmp_path, a, code):
     path = write_moments_file("stops", a)
     out = tmp_path / "rows.txt"
     args = ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "3",
             "--out"]
-    res = runner.invoke(main, args + [str(out)])
+    res = run_cli(args + [str(out)])
     assert res.exit_code == code
     assert res.stdout.endswith("\n")
     assert out.read_text() == res.stdout[:-1]
     assert res.stderr.startswith("error: ")
-    res = runner.invoke(main, args + [str(tmp_path)])
+    res = run_cli(args + [str(tmp_path)])
     assert (res.exit_code, res.stdout) == (4, "")
     assert res.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
-def test_approx_custom_family(runner, write_moments_file):
+def test_approx_custom_family(write_moments_file):
     path = write_moments_file("mine", ["1", "2", "5", "16"], reference="0.5963473623")
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "1"],
-    )
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "1"])
     assert res.exit_code == 0
-    assert res.output.splitlines() == [
+    assert res.stdout.splitlines() == [
         "0 | 1/2 | 0.5000000000",
         "1 | 4/7 | 0.5714285714",
     ]
 
 
-def test_approx_positivity_violation_prints_partial_rows(runner, write_moments_file):
+def test_approx_positivity_violation_prints_partial_rows(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "3"],
-    )
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "3"])
     assert res.exit_code == 3
-    assert res.output.splitlines()[0] == "0 | 1 | 1.0000000000"
+    assert res.stdout.splitlines()[0] == "0 | 1 | 1.0000000000"
     assert "error:" in res.stderr
 
 
-def test_approx_missing_moments_file(runner, tmp_path):
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "custom", "--moments-file",
-         str(tmp_path / "nope.json"), "--n-max", "1"],
-    )
+def test_approx_missing_moments_file(tmp_path):
+    res = run_cli(["approx", "--family", "custom", "--moments-file",
+                   str(tmp_path / "nope.json"), "--n-max", "1"])
     assert res.exit_code == 4
     assert "error:" in res.stderr
 
 
-def test_approx_malformed_moments_file(runner, tmp_path):
+def test_approx_malformed_moments_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "1"],
-    )
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "1"])
     assert res.exit_code == 4
 
 
@@ -168,10 +140,10 @@ def test_approx_malformed_moments_file(runner, tmp_path):
     ["validate", "--n-max", "1"],
     ["moments", "--count", "1"],
 ])
-def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
+def test_non_utf8_moments_file_is_a_parse_error(tmp_path, command):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe\x00bad")
-    res = runner.invoke(main, command + ["--family", "custom", "--moments-file", str(path)])
+    res = run_cli(command + ["--family", "custom", "--moments-file", str(path)])
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == "error: moment file is not UTF-8 text: invalid start byte at byte 0\n"
@@ -206,7 +178,7 @@ def test_non_utf8_moments_file_is_a_parse_error(runner, tmp_path, command):
 ], ids=["nested", "long-moment", "long-reference", "long-literal", "long-literal-name",
         "nested-entry", "non-ascii-moment", "non-ascii-reference", "entry-equals-name",
         "entry-inside-name"])
-def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, stderr):
+def test_hostile_moments_file_is_a_parse_error(tmp_path, command, text, stderr):
     # Too deep for the JSON parser, more digits than the int/str limit that
     # importing the package sets, an entry whose text must not be echoed, or
     # digits outside 0-9 (Arabic-Indic here), which int() alone would read:
@@ -215,7 +187,7 @@ def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, 
     # literals (the name and the entry) the line gives none.
     path = tmp_path / "hostile.json"
     path.write_text(text)
-    res = runner.invoke(main, command + ["--family", "custom", "--moments-file", str(path)])
+    res = run_cli(command + ["--family", "custom", "--moments-file", str(path)])
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == stderr
@@ -230,12 +202,12 @@ def test_hostile_moments_file_is_a_parse_error(runner, tmp_path, command, text, 
     ("1", "0." + "1" * 99_997 + "x", "error: reference: not a fixed-point decimal: '0."
      + "1" * 37 + "... (100000 characters) (line 1, column 40)\n"),
 ], ids=["moment", "zero-denominator", "reference"])
-def test_long_bad_string_is_echoed_cut_short(runner, write_moments_file, entry, reference,
+def test_long_bad_string_is_echoed_cut_short(write_moments_file, entry, reference,
                                              stderr):
     # A malformed string shows the first 40 characters of its repr() and its length.
     path = write_moments_file("x", [entry], reference=reference)
-    res = runner.invoke(main, ["approx", "--family", "custom", "--moments-file", str(path),
-                               "--n-max", "0"])
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path),
+                   "--n-max", "0"])
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == stderr
@@ -245,35 +217,29 @@ def test_long_bad_string_is_echoed_cut_short(runner, write_moments_file, entry, 
     ("both", "error: positive definiteness fails at degree 1: squared norm {} <= 0\n"),
     ("det", "error: Q_1 = {} is not positive\n"),
 ])
-def test_long_exact_value_in_an_error_is_cut_short(runner, write_moments_file, method,
+def test_long_exact_value_in_an_error_is_cut_short(write_moments_file, method,
                                                    stderr):
     # Q_1 = a_2 a_4 - a_3^2 = 1/D - 324 has 235 characters: the error line
     # shows its first 40 and its length, after the row it printed.
     d = int("3" * 115)
     text = str(Fraction(1, d) - 324)
     path = write_moments_file("long", ["0", "1", "18", f"1/{d}"])
-    res = runner.invoke(main, ["approx", "--family", "custom", "--moments-file", str(path),
-                               "--n-max", "1", "--method", method])
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path),
+                   "--n-max", "1", "--method", method])
     assert res.exit_code == 3
     assert res.stdout == "0 | 0 | 0.0000000000\n"
     assert res.stderr == stderr.format(f"{text[:40]}... ({len(text)} characters)")
 
 
-def test_approx_short_custom_sequence(runner, write_moments_file):
+def test_approx_short_custom_sequence(write_moments_file):
     # n_max = 2 needs six moments; four cover n = 0 and 1, then it is an input error.
     path = write_moments_file("short", ["1", "2", "5", "16"])
-    res = runner.invoke(
-        main,
-        ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
-    )
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "2"])
     assert res.exit_code == 4
     assert res.stdout.splitlines() == ["0 | 1/2 | 0.5000000000", "1 | 4/7 | 0.5714285714"]
     assert "out of range" in res.stderr
     assert "supports n <= 1" in res.stderr
-    res = runner.invoke(
-        main,
-        ["validate", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
-    )
+    res = run_cli(["validate", "--family", "custom", "--moments-file", str(path), "--n-max", "2"])
     assert res.exit_code == 4
     assert res.stdout == ""
     assert res.stderr == ("error: moment index 5 out of range: only 4 moments available; "
@@ -281,17 +247,14 @@ def test_approx_short_custom_sequence(runner, write_moments_file):
 
     one = write_moments_file("one", ["1"], filename="one.json")
     for command in ("approx", "validate"):
-        res = runner.invoke(
-            main,
-            [command, "--family", "custom", "--moments-file", str(one), "--n-max", "0"],
-        )
+        res = run_cli([command, "--family", "custom", "--moments-file", str(one), "--n-max", "0"])
         assert res.exit_code == 4
         assert res.stdout == ""
         assert "supports no n" in res.stderr
 
 
 def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
-        runner, write_moments_file):
+        write_moments_file):
     # A weight of 1/CHECK_PRIME puts the prime in every moment's denominator,
     # so no residue can be formed and both compares with the exact sweep.
     weights, nodes = (1, Fraction(1, CHECK_PRIME), 3), (1, 2, Fraction(1, 3))
@@ -299,7 +262,7 @@ def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
     path = write_moments_file("tiny-weight", [str(v) for v in a])
     assert list(hankel_residues(load_moments(path), 2, CHECK_PRIME)) == []
     runs = {
-        method: runner.invoke(main, [
+        method: run_cli([
             "approx", "--family", "custom", "--moments-file", str(path),
             "--n-max", "2", "--format", "csv", "--method", method])
         for method in ("both", "det")
@@ -309,7 +272,7 @@ def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
     assert len(runs["both"].stdout.splitlines()) == 4
 
 
-def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
+def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
     # A symmetric measure has a_3 = 0, a divisor of the condensation table
     # from n = 2 on, so both determinant sweeps continue by elimination:
     # the residues through n = 8, where Q_8 = 0 ends them, and the exact
@@ -323,7 +286,7 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
     runs, eliminations = {}, {}
     for method in ("det", "both", None):
         before = len(calls)
-        runs[method] = runner.invoke(main, [
+        runs[method] = run_cli([
             "approx", "--family", "custom", "--moments-file", str(path),
             "--n-max", "8", "--format", "csv"] + (["--method", method] if method else []))
         eliminations[method] = calls[before:]
@@ -339,10 +302,10 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
     assert eliminations == {"det": [True], "both": [False], None: [False]}
 
     args = ["validate", "--family", "custom", "--moments-file", str(path), "--n-max"]
-    res = runner.invoke(main, args + ["7"])
+    res = run_cli(args + ["7"])
     assert res.exit_code == 0
     assert [line.split(" ")[0] for line in res.stdout.splitlines()] == ["PASS"] * 4
-    res = runner.invoke(main, args + ["8"])
+    res = run_cli(args + ["8"])
     assert res.exit_code == 3
     assert res.stdout == (
         "FAIL positive-definite: squared norm fails at degree 8; positive through 7\n")
@@ -351,6 +314,11 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
 @pytest.mark.parametrize(
     "args",
     [
+        [],
+        ["approx", "--fam", "gamma", "--n-max", "2"],
+        ["approx", "--family", "gamma", "--n-max", "2", "--digits", "0"],
+        ["approx", "--family", "gamma", "--n-max", "2", "--digits", str(MAX_DIGITS + 1)],
+        ["approx", "--family", "gamma", "--n-max", "2", "--moments-file", "x"],
         ["approx", "--family", "zeta", "--n-max", "2"],
         ["approx", "--family", "zeta", "--k", "1", "--n-max", "2"],
         ["approx", "--family", "zeta", "--k", "65", "--n-max", "2"],
@@ -377,17 +345,17 @@ def test_zero_divisors_through_the_cli(runner, write_moments_file, monkeypatch):
         ["moments", "--family", "gompertz", "--count", "\u0662"],
     ],
 )
-def test_usage_errors_exit_2(runner, args):
-    res = runner.invoke(main, args)
+def test_usage_errors_exit_2(args):
+    res = run_cli(args)
     assert res.exit_code == 2
     assert res.stdout == ""
     if "--moments-file" in args:  # a built-in family with a moment file, named
-        assert res.stderr.endswith("Error: --moments-file only applies to --family custom\n")
+        assert res.stderr.endswith("error: --moments-file only applies to --family custom\n")
     if any(not arg.isascii() or "_" in arg or arg != arg.strip() for arg in args):
         assert "is not a valid integer" in res.stderr
 
 
-def test_every_family_resolves_through_the_cli(runner, write_moments_file):
+def test_every_family_resolves_through_the_cli(write_moments_file):
     # The one dispatch from a --family name to its sequence: each name
     # gives its sequence's name, first moments and reference, if any.
     path = write_moments_file("mine", ["1", "7/2"])
@@ -400,71 +368,58 @@ def test_every_family_resolves_through_the_cli(runner, write_moments_file):
     }
     assert FAMILIES == tuple(expected)
     for family, (options, name, a, reference) in expected.items():
-        res = runner.invoke(main, ["moments", "--family", family, *options,
-                                   "--count", "2", "--format", "json"])
+        res = run_cli(["moments", "--family", family, *options,
+                       "--count", "2", "--format", "json"])
         assert res.exit_code == 0, family
         assert json.loads(res.stdout) == {
             "name": name, "a": a, **({"reference": reference} if reference else {})}
 
 
-def test_moments_json_feeds_back_as_moments_file(runner, tmp_path):
-    res = runner.invoke(
-        main, ["moments", "--family", "gompertz", "--count", "6"])
+def test_moments_json_feeds_back_as_moments_file(tmp_path):
+    res = run_cli(["moments", "--family", "gompertz", "--count", "6"])
     assert res.exit_code == 0
-    doc = json.loads(res.output)
+    doc = json.loads(res.stdout)
     assert doc["name"] == "gompertz"
     assert doc["a"][:5] == ["1", "2", "5", "16", "65"]
     assert doc["reference"] == "0.5963473623"
 
     path = tmp_path / "fed.json"
-    path.write_text(res.output)
-    back = runner.invoke(
-        main,
-        ["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
-    )
-    direct = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "2"])
+    path.write_text(res.stdout)
+    back = run_cli(["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "2"])
+    direct = run_cli(["approx", "--family", "gompertz", "--n-max", "2"])
     assert back.exit_code == 0
-    assert back.output == direct.output
+    assert back.stdout == direct.stdout
 
 
-def test_moments_csv(runner):
-    res = runner.invoke(
-        main,
-        ["moments", "--family", "zeta", "--k", "2", "--count", "3", "--format", "csv"],
-    )
+def test_moments_csv():
+    res = run_cli(["moments", "--family", "zeta", "--k", "2", "--count", "3", "--format", "csv"])
     assert res.exit_code == 0
-    assert res.output.splitlines() == ["n,a", "1,1", "2,3/4", "3,11/18"]
+    assert res.stdout.splitlines() == ["n,a", "1,1", "2,3/4", "3,11/18"]
 
 
-def test_moments_custom(runner, write_moments_file):
+def test_moments_custom(write_moments_file):
     path = write_moments_file("mine", ["1", "7/2"])
-    res = runner.invoke(
-        main,
-        ["moments", "--family", "custom", "--moments-file", str(path), "--count", "2"],
-    )
+    res = run_cli(["moments", "--family", "custom", "--moments-file", str(path), "--count", "2"])
     assert res.exit_code == 0
-    assert json.loads(res.output)["a"] == ["1", "7/2"]
+    assert json.loads(res.stdout)["a"] == ["1", "7/2"]
 
-    over = runner.invoke(
-        main,
-        ["moments", "--family", "custom", "--moments-file", str(path), "--count", "3"],
-    )
+    over = run_cli(["moments", "--family", "custom", "--moments-file", str(path), "--count", "3"])
     assert over.exit_code == 4
 
 
-def test_validate_passes_builtin(runner):
-    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+def test_validate_passes_builtin():
+    res = run_cli(["validate", "--family", "gompertz", "--n-max", "5"])
     assert res.exit_code == 0
-    lines = res.output.splitlines()
+    lines = res.stdout.splitlines()
     assert len(lines) == 5
     assert all(line.startswith("PASS ") for line in lines)
     assert any("reference-bound" in line for line in lines)
 
 
-def test_validate_passes_inside_the_last_reference_digit(runner):
-    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "48"])
+def test_validate_passes_inside_the_last_reference_digit():
+    res = run_cli(["validate", "--family", "gompertz", "--n-max", "48"])
     assert res.exit_code == 0
-    assert res.output.splitlines()[-1] == (
+    assert res.stdout.splitlines()[-1] == (
         "PASS reference-bound: every approximant is strictly below 0.5963473624, "
         "one unit above 0.5963473623 in its last digit; the first at or above "
         "0.5963473623 is n = 46")
@@ -480,24 +435,21 @@ def test_validate_passes_inside_the_last_reference_digit(runner):
                   "one unit above 0.5 in its last digit; the first at or above 0.5 is n = 0"),
     ("0.4", 0, 2, "FAIL reference-bound: every approximant is strictly below 0.4"),
 ], ids=["below", "within-last-digit", "above", "at-reference", "at-reference-plus-unit"])
-def test_validate_reference_bound_reads_the_last_digit(runner, write_moments_file,
+def test_validate_reference_bound_reads_the_last_digit(write_moments_file,
                                                        reference, n_max, code, line):
     # A_0 = 1/2 and A_1 = 4/7 = 0.57142857...: below the first reference,
     # within one unit above the second, past the third by more than a unit;
     # A_0 equals the fourth, and the fifth plus one unit.
     path = write_moments_file("mine", ["1", "2", "5", "16"], reference=reference)
-    res = runner.invoke(
-        main,
-        ["validate", "--family", "custom", "--moments-file", str(path),
-         "--n-max", str(n_max)],
-    )
+    res = run_cli(["validate", "--family", "custom", "--moments-file", str(path),
+                   "--n-max", str(n_max)])
     assert res.exit_code == code
-    assert res.output.splitlines()[-1] == line
+    assert res.stdout.splitlines()[-1] == line
 
 
 @pytest.mark.parametrize("spelling", ["0.5714285 ", "0.5714285\n", " 0.5714285"],
                          ids=["trailing-space", "trailing-newline", "leading-space"])
-def test_reference_whitespace_changes_no_output(runner, write_moments_file, spelling):
+def test_reference_whitespace_changes_no_output(write_moments_file, spelling):
     # The stored reference is the decimal parse_decimal reads: whitespace
     # around it neither adds a digit to the reference bound nor is echoed.
     # With a trailing space the bound would fall one digit further down and
@@ -507,8 +459,8 @@ def test_reference_whitespace_changes_no_output(runner, write_moments_file, spel
         path = write_moments_file("mine", ["1", "2", "5", "16"], reference=reference)
         custom = ["--family", "custom", "--moments-file", str(path)]
         outputs.append([(res.exit_code, res.stdout, res.stderr) for res in (
-            runner.invoke(main, ["validate", *custom, "--n-max", "1"]),
-            runner.invoke(main, ["moments", *custom, "--count", "4"]))])
+            run_cli(["validate", *custom, "--n-max", "1"]),
+            run_cli(["moments", *custom, "--count", "4"]))])
     assert outputs[0] == outputs[1]
     assert outputs[0][0][:2] == (0, (
         "PASS engine-agreement: determinant and recurrence paths equal for n <= 1\n"
@@ -520,7 +472,7 @@ def test_reference_whitespace_changes_no_output(runner, write_moments_file, spel
     assert json.loads(outputs[0][1][1])["reference"] == "0.5714285"
 
 
-def test_reference_longer_than_the_digit_ceiling_is_a_parse_error(runner, write_moments_file):
+def test_reference_longer_than_the_digit_ceiling_is_a_parse_error(write_moments_file):
     # The length is checked before the quadratic int() of the digits, so the
     # file is refused at once; the error line does not echo the reference.
     path = write_moments_file("mine", ["1", "2", "5", "16"],
@@ -528,23 +480,23 @@ def test_reference_longer_than_the_digit_ceiling_is_a_parse_error(runner, write_
     custom = ["--family", "custom", "--moments-file", str(path)]
     for command in (["approx", "--n-max", "1"], ["validate", "--n-max", "1"],
                     ["moments", "--count", "1"]):
-        res = runner.invoke(main, command + custom)
+        res = run_cli(command + custom)
         assert (res.exit_code, res.stdout) == (4, "")
         assert res.stderr == (f"error: reference: longer than {MAX_DIGITS} characters "
                               "(line 1, column 59)\n")
 
 
-def test_validate_reports_engine_mismatch(runner, skew_sweep):
+def test_validate_reports_engine_mismatch(skew_sweep):
     skew_sweep(0, lambda P, Q: (Fraction(0), Q))
-    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+    res = run_cli(["validate", "--family", "gompertz", "--n-max", "5"])
     assert res.exit_code == 2
     assert res.stdout == "FAIL engine-agreement: paths disagree first at n = 0\n"
 
 
-def test_approx_reports_mismatch_with_equal_ratios(runner, skew_residues):
+def test_approx_reports_mismatch_with_equal_ratios(skew_residues):
     # P_1 and Q_1 both doubled keep the ratio 4/7; the pair comparison sees it.
     skew_residues(1, lambda P, Q: (2 * P % CHECK_PRIME, 2 * Q % CHECK_PRIME))
-    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "2"])
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "2"])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == (
@@ -552,24 +504,21 @@ def test_approx_reports_mismatch_with_equal_ratios(runner, skew_residues):
         "recurrence path (A_n N_n, N_n) = (4, 7), both mod 2305843009213693951\n")
 
 
-def test_validate_factorial_has_no_reference_line(runner):
-    res = runner.invoke(main, ["validate", "--family", "factorial", "--n-max", "5"])
+def test_validate_factorial_has_no_reference_line():
+    res = run_cli(["validate", "--family", "factorial", "--n-max", "5"])
     assert res.exit_code == 0
-    assert all("reference-bound" not in line for line in res.output.splitlines())
+    assert all("reference-bound" not in line for line in res.stdout.splitlines())
 
 
-def test_validate_reports_violation(runner, write_moments_file):
+def test_validate_reports_violation(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
-    res = runner.invoke(
-        main,
-        ["validate", "--family", "custom", "--moments-file", str(path), "--n-max", "2"],
-    )
+    res = run_cli(["validate", "--family", "custom", "--moments-file", str(path), "--n-max", "2"])
     assert res.exit_code == 3
     assert res.stdout == "FAIL positive-definite: squared norm fails at degree 1; positive through 0\n"
     assert res.stderr == ""
 
 
-def test_validate_reports_nonpositive_Q(runner, monkeypatch):
+def test_validate_reports_nonpositive_Q(monkeypatch):
     # Only a wrong exact table can reach Q_n <= 0 before the recurrence's
     # own positivity check; validate then exits 2, where approx exits 3.
     condense = hankel._condense
@@ -579,28 +528,28 @@ def test_validate_reports_nonpositive_Q(runner, monkeypatch):
             yield (P, -Q) if n == 1 else (P, Q)
 
     monkeypatch.setattr(hankel, "_condense", negated_Q_1)
-    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+    res = run_cli(["validate", "--family", "gompertz", "--n-max", "5"])
     assert res.exit_code == 2
     assert res.stdout == "FAIL positive-Q: Q_1 = -7 is not positive\n"
     assert res.stderr == ""
 
 
-def test_validate_reports_lost_orthogonality(runner, skewed_alpha_1):
-    res = runner.invoke(main, ["validate", "--family", "gompertz", "--n-max", "5"])
+def test_validate_reports_lost_orthogonality(skewed_alpha_1):
+    res = run_cli(["validate", "--family", "gompertz", "--n-max", "5"])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == "error: orthogonality lost: <q_2, q_1> = -7/2\n"
 
 
-def test_approx_reports_lost_orthogonality(runner, skewed_alpha_1):
-    res = runner.invoke(main, ["approx", "--family", "gompertz", "--n-max", "4"])
+def test_approx_reports_lost_orthogonality(skewed_alpha_1):
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "4"])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == "error: orthogonality lost: <q_2, q_1> = -7/2\n"
 
 
 @pytest.mark.parametrize("stop", ["mismatch", "orthogonality"])
-def test_long_stop_values_are_cut_short(runner, monkeypatch, skew_sweep, skew_alpha, stop):
+def test_long_stop_values_are_cut_short(monkeypatch, skew_sweep, skew_alpha, stop):
     # On gamma the exact pairs and residuals run to hundreds of digits by
     # n = 8; each is cut as a moment file's tokens are.
     if stop == "mismatch":
@@ -608,20 +557,20 @@ def test_long_stop_values_are_cut_short(runner, monkeypatch, skew_sweep, skew_al
         skew_sweep(8, lambda P, Q: (2 * P, Q))
     else:
         skew_alpha(6)  # <q_7, q_6> = -t_6
-    res = runner.invoke(main, ["approx", "--family", "gamma", "--n-max", "9"])
+    res = run_cli(["approx", "--family", "gamma", "--n-max", "9"])
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert len(res.stderr) - 1 <= 300
 
 
-def test_help_screens(runner):
-    assert runner.invoke(main, ["--help"]).exit_code == 0
+def test_help_screens():
+    assert run_cli(["--help"]).exit_code == 0
     for sub in ("approx", "moments", "validate"):
-        res = runner.invoke(main, [sub, "--help"])
+        res = run_cli([sub, "--help"])
         assert res.exit_code == 0
-        assert "--family" in res.output
-        assert "--moments-file" in res.output
-    assert f"1<=x<={MAX_DIGITS}" in runner.invoke(main, ["approx", "--help"]).output
+        assert "--family" in res.stdout
+        assert "--moments-file" in res.stdout
+    assert f"1<=x<={MAX_DIGITS}" in run_cli(["approx", "--help"]).stdout
 
 
 def test_cli_import_loads_every_package_module():
@@ -634,3 +583,20 @@ def test_cli_import_loads_every_package_module():
         capture_output=True, text=True, check=True).stdout.split()
     modules = {f"hankel_approx.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"}
     assert modules <= set(loaded)
+
+
+def test_cli_imports_no_click_dataclasses_inspect_or_typing():
+    # Each of these pulls in inspect or typing, which is most of the import
+    # time of a command. Run without site (-S), as a site .pth file may load
+    # typing itself; the command then prints the README's gompertz rows.
+    env = {**os.environ, "PYTHONPATH": str(Path(hankel_approx.__file__).parent.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, hankel_approx.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert {"click", "dataclasses", "inspect", "typing"}.isdisjoint(loaded)
+    res = subprocess.run(
+        [sys.executable, "-S", "-m", "hankel_approx.cli", "approx", "--family", "gompertz",
+         "--n-max", "3"], env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == [
+        f"{n} | {GOMPERTZ_ROWS[n][0]} | {GOMPERTZ_ROWS[n][1]}" for n in range(4)]

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankel_approx.cli import main
+from .conftest import run_cli
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text(max_size=12))
@@ -102,9 +101,7 @@ def test_hostile_moment_files_keep_the_cli_contract(moments_path, content, n_max
         "moments": ["moments", *family, "--count", str(count)],
     }
     for command, args in runs.items():
-        res = CliRunner().invoke(main, args)
-        assert res.exception is None or isinstance(res.exception, SystemExit), (
-            command, res.exception)
+        res = run_cli(args)  # a traceback propagates and fails the test
         assert res.exit_code in (0, 2, 3, 4), command
         errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) <= 1 and all(len(line) <= 300 for line in errors), (

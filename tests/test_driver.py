@@ -4,10 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from hankel_approx import driver
-from hankel_approx.cli import main
 from hankel_approx.driver import (
     CHECK_PRIME,
     ELIDE_THRESHOLD,
@@ -35,7 +33,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
-from .conftest import ortho_records
+from .conftest import ortho_records, run_cli
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -235,8 +233,8 @@ def test_emit_writes_out_file(tmp_path):
     # emit only renders; approx writes its text to --out.
     records = run_convergence(gompertz_sequence(), 1)
     out = tmp_path / "run.csv"
-    res = CliRunner().invoke(main, ["approx", "--family", "gompertz", "--n-max", "1",
-                                    "--format", "csv", "--out", str(out)])
+    res = run_cli(["approx", "--family", "gompertz", "--n-max", "1",
+                   "--format", "csv", "--out", str(out)])
     assert res.exit_code == 0
     assert out.read_text() == emit(records, "csv")
 

@@ -3,10 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from hankel_approx import hankel
-from hankel_approx.cli import main
 from hankel_approx.driver import emit, run_convergence
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
@@ -19,7 +17,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
-from .conftest import ortho_records, record_eliminations
+from .conftest import ortho_records, record_eliminations, run_cli
 from .oracles import cofactor_det, hankel_matrix
 
 
@@ -126,11 +124,11 @@ def test_sweep_falls_back_to_elimination_at_zero_divisor(monkeypatch):
 def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_file):
     # The determinant route through the CLI, the recurrence read directly.
     path = write_moments_file("symmetric", [str(a) for a in SYMMETRIC])
-    res = CliRunner().invoke(main, [
+    res = run_cli([
         "approx", "--family", "custom", "--moments-file", str(path),
         "--n-max", "5", "--method", "det", "--format", "csv"])
     assert res.exit_code == 0
-    outputs = [res.output, emit(ortho_records(load_moments(path), 5), "csv") + "\n"]
+    outputs = [res.stdout, emit(ortho_records(load_moments(path), 5), "csv") + "\n"]
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 7
 

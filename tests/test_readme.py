@@ -1,7 +1,7 @@
 """The README's examples, run as written.
 
 Every ``$ hankel-approx ...`` block that needs no input file is invoked
-through click's test runner and must print exactly the lines the README
+in process (``run_cli``) and must print exactly the lines the README
 shows, with exit code 0. The one block that reads a moment file runs on
 the file contents the README states and must print its rows, then its
 ``error:`` line, with exit code 3. The Python library block is executed
@@ -18,10 +18,10 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import hankel_approx
-from hankel_approx.cli import main
+
+from .conftest import run_cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
@@ -49,8 +49,8 @@ def test_readme_has_examples():
 def test_cli_example(command, expected):
     argv = shlex.split(command)
     assert argv[0] == "hankel-approx"
-    res = CliRunner().invoke(main, argv[1:])
-    assert res.exit_code == 0, res.output
+    res = run_cli(argv[1:])
+    assert res.exit_code == 0, res.stdout
     assert res.stdout == expected
 
 
@@ -61,7 +61,7 @@ def test_file_example(tmp_path, monkeypatch):
     stated = re.search(rf"`{re.escape(name)}` holding.*?```json\n(.*?)```", README, re.S)
     (tmp_path / name).write_text(stated.group(1))
     monkeypatch.chdir(tmp_path)
-    res = CliRunner().invoke(main, argv[1:])
+    res = run_cli(argv[1:])
     assert res.exit_code == 3
     assert res.stdout == "\n".join(lines[:-1]) + "\n"
     assert res.stderr == lines[-1] + "\n"
