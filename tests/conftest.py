@@ -75,6 +75,20 @@ def write_moments_file(tmp_path):
     return _write
 
 
+def skew_coefficient(monkeypatch, bad_k: int, which: int) -> None:
+    """Add one to the recurrence's alpha_{bad_k} (``which`` 0) or beta_{bad_k}
+    (``which`` 1); every other coefficient stays exact."""
+    exact = orthopoly._coefficients
+
+    def skewed(row, prev, k):
+        pair = list(exact(row, prev, k))
+        if k == bad_k:
+            pair[which] += 1
+        return tuple(pair)
+
+    monkeypatch.setattr(orthopoly, "_coefficients", skewed)
+
+
 @pytest.fixture
 def skew_alpha(monkeypatch):
     """Return a helper that shifts the recurrence's alpha_k by one.
@@ -83,16 +97,18 @@ def skew_alpha(monkeypatch):
     it stays orthogonal to q_0 .. q_{k-1} but <q_{k+1}, q_k> = -t_k, and the
     recurrence must stop at degree k + 1.
     """
-    exact = orthopoly._coefficients
+    return lambda bad_k: skew_coefficient(monkeypatch, bad_k, 0)
 
-    def skew(bad_k):
-        def skewed(sigma, t, k):
-            alpha, beta = exact(sigma, t, k)
-            return (alpha + 1 if k == bad_k else alpha), beta
 
-        monkeypatch.setattr(orthopoly, "_coefficients", skewed)
+@pytest.fixture
+def skew_beta(monkeypatch):
+    """Return a helper that shifts the recurrence's beta_k by one.
 
-    return skew
+    After ``skew_beta(k)`` the skewed q_{k+1} is the true one minus q_{k-1},
+    so it stays orthogonal to q_k but <q_{k+1}, q_{k-1}> = -t_{k-1}, and
+    the recurrence must stop at degree k + 1.
+    """
+    return lambda bad_k: skew_coefficient(monkeypatch, bad_k, 1)
 
 
 @pytest.fixture
@@ -121,8 +137,8 @@ def record_coefficients(monkeypatch) -> list:
     appended to, in order; the values themselves stay exact."""
     exact, recorded = orthopoly._coefficients, []
 
-    def recording(sigma, t, k):
-        recorded.append(exact(sigma, t, k))
+    def recording(row, prev, k):
+        recorded.append(exact(row, prev, k))
         return recorded[-1]
 
     monkeypatch.setattr(orthopoly, "_coefficients", recording)

@@ -1,9 +1,10 @@
-"""The benchmark's workloads, run through the CLI at small sizes.
+"""The benchmark's workloads, run through the CLI at small sizes and at its own.
 
 ``perfbench/workloads.py`` gives each benchmark workload as CLI arguments
 plus its own check of the output, computed without the package. Running
 them here catches a change that breaks a benchmark command (dropping an
-option a workload passes, say) before the benchmark itself runs. The
+option a workload passes, say) before the benchmark itself runs, and
+checks the recurrence on the inputs the benchmark times. The
 module is imported from its file and left unchanged.
 """
 
@@ -38,7 +39,9 @@ def workloads():
 
 
 @pytest.mark.parametrize("factory, n_max", [
-    ("gamma_both", 3), ("factorial_det", 5), ("measure_ortho", 4)])
+    ("gamma_both", 3), ("factorial_det", 5), ("measure_ortho", 4),
+    # the sizes the benchmark runs
+    ("gamma_both", 13), ("measure_ortho", 15)])
 def test_benchmark_workload_passes_its_own_check(workloads, tmp_path, factory, n_max):
     workload = getattr(workloads, factory)(n_max=n_max)
     res = run_cli(workload.prepare(1, tmp_path))

@@ -253,6 +253,21 @@ def test_approx_short_custom_sequence(write_moments_file):
         assert "supports no n" in res.stderr
 
 
+def test_approx_short_custom_sequence_of_odd_length(write_moments_file):
+    # Five moments still cover only n <= 1: n = 2 needs a_6.
+    path = write_moments_file("short", ["1", "2", "5", "16", "65"])
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(path), "--n-max", "3"])
+    assert res.exit_code == 4
+    assert res.stdout.splitlines() == ["0 | 1/2 | 0.5000000000", "1 | 4/7 | 0.5714285714"]
+    assert res.stderr == ("error: moment index 6 out of range: only 5 moments available; "
+                          "the moment file supports n <= 1\n")
+    flat = write_moments_file("flat", ["1"] * 5, filename="flat.json")
+    res = run_cli(["approx", "--family", "custom", "--moments-file", str(flat), "--n-max", "3"])
+    assert res.exit_code == 3
+    assert res.stdout == "0 | 1 | 1.0000000000\n"
+    assert res.stderr == "error: positive definiteness fails at degree 1: squared norm 0 <= 0\n"
+
+
 def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
         write_moments_file):
     # A weight of 1/CHECK_PRIME puts the prime in every moment's denominator,

@@ -118,6 +118,33 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
     assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
 
 
+@pytest.mark.parametrize("method", ["ortho", "det", "both"])
+def test_run_convergence_short_file_of_odd_length_carries_records(write_moments_file, method):
+    # a_5 is there but a_6 is not: the rows n = 0, 1 come first, and the
+    # stop names a_6, as if the moments were read one at a time.
+    path = write_moments_file("short", ["1", "2", "5", "16", "65"])
+    with pytest.raises(IndexOutOfRange) as excinfo:
+        if method == "ortho":
+            ortho_records(load_moments(path), 3)
+        else:
+            run_convergence(load_moments(path), 3, method)
+    assert (excinfo.value.requested, excinfo.value.available) == (6, 5)
+    assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
+
+
+@pytest.mark.parametrize("method", ["ortho", "both"])
+def test_short_flat_file_stops_at_positivity_first(write_moments_file, method):
+    # t_1 = 0 comes before the missing a_6 on the recurrence's side.
+    path = write_moments_file("flat", ["1"] * 5)
+    with pytest.raises(PositivityViolation) as excinfo:
+        if method == "ortho":
+            ortho_records(load_moments(path), 3)
+        else:
+            run_convergence(load_moments(path), 3, method)
+    assert (excinfo.value.index, excinfo.value.value) == (1, 0)
+    assert [r.value for r in excinfo.value.records] == [1]
+
+
 def test_run_convergence_detects_engine_mismatch(skew_residues):
     skew_residues(0, lambda P, Q: (0, Q))
     with pytest.raises(EngineMismatch) as excinfo:

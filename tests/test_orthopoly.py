@@ -103,6 +103,22 @@ def test_ortho_sweep_stops_at_lost_orthogonality(gompertz_seq, skewed_alpha_1):
     assert excinfo.value.residual == -norms(pairs)[1]
 
 
+@pytest.mark.parametrize("coefficient, bad_k, stop", [
+    ("beta", 3, (4, 2)),  # <q_4, q_2> = -t_2; q_4 stays orthogonal to q_3
+    ("alpha", 4, (5, 4)),  # <q_5, q_4> = -t_4
+])
+def test_ortho_sweep_stops_at_a_skewed_coefficient(gompertz_seq, skew_alpha, skew_beta,
+                                                   coefficient, bad_k, stop):
+    {"alpha": skew_alpha, "beta": skew_beta}[coefficient](bad_k)
+    pairs = []
+    with pytest.raises(OrthogonalityLost) as excinfo:
+        for pair in ortho_sweep(gompertz_seq, 6):
+            pairs.append(pair)
+    assert len(pairs) == stop[0]
+    assert (excinfo.value.degree, excinfo.value.other) == stop
+    assert excinfo.value.residual == -norms(pairs)[stop[1]]
+
+
 def test_positivity_violation_stops_after_yielded_states():
     seq = MomentSequence("flat", values=[Fraction(1)] * 6)
     pairs = []
