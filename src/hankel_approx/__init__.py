@@ -9,7 +9,7 @@ Euler-Mascheroni constant, the Euler-Gompertz constant, and zeta(k).
 """
 
 from .exactnum import rat_to_decimal
-from .hankel import hankel_P, hankel_Q
+from .hankel import hankel_sweep
 from .moments import (
     factorial_sequence,
     gamma_sequence,
@@ -17,18 +17,17 @@ from .moments import (
     load_moments,
     zeta_sequence,
 )
-from .orthopoly import approximant_ortho
+from .orthopoly import ortho_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "approximant_ortho",
     "factorial_sequence",
     "gamma_sequence",
     "gompertz_sequence",
-    "hankel_P",
-    "hankel_Q",
+    "hankel_sweep",
     "load_moments",
+    "ortho_sweep",
     "rat_to_decimal",
     "zeta_sequence",
 ]

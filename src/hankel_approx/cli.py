@@ -103,17 +103,10 @@ def approx(args):
     try:
         records, stop = run_convergence(seq, args.n_max, args.method), None
     except RunStopped as exc:
-        # print and write the rows before the stop, unless the routes disagree (exit 2)
+        # print the rows before the stop, unless the routes disagree (exit 2)
         records, stop = (None if exc.exit_code == EXIT_VALIDATION else exc.records), exc
     if records:
-        text = emit(records, args.fmt, args.digits, args.exact)
-        if args.out is not None:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                _exit(exc, EXIT_IO)
-        print(text)
+        print(emit(records, args.fmt, args.digits))
     if stop is not None:
         _exit_stopped(stop)
 
@@ -190,9 +183,6 @@ def main(argv=None):
                      help=f"Decimal places, 1<=x<={MAX_DIGITS} (default: {DEFAULT_DIGITS}).")
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default="table",
                      help="Output format (default: table).")
-    sub.add_argument("--exact", action="store_true",
-                     help="Print full rationals in table format, however large.")
-    sub.add_argument("--out", metavar="PATH", help="Also write the rendered output to this path.")
     sub = _command(commands, moments)
     sub.add_argument("--count", type=_integer(1), required=True,
                      help="How many moments a_1 .. a_count to emit.")

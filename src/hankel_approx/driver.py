@@ -39,7 +39,7 @@ from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import MomentSequence
 from .orthopoly import ortho_sweep
 
-ELIDE_THRESHOLD = 40  # table cells longer than this print as "-" unless exact
+ELIDE_THRESHOLD = 40  # table cells longer than this print as "-"
 
 METHODS = ("det", "both")
 FORMATS = ("table", "csv", "json")
@@ -114,22 +114,19 @@ def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
 # ---------------------------------------------------------------------------
 # rendering
 
-def _table_cell(value: Fraction, exact: bool) -> str:
+def _table_cell(value: Fraction) -> str:
     text = format_rational(value)
-    if not exact and len(text) > ELIDE_THRESHOLD:
-        return "-"
-    return text
+    return "-" if len(text) > ELIDE_THRESHOLD else text
 
 
-def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS,
-         exact: bool = False) -> str:
+def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS) -> str:
     """Render records as table/csv/json text.
 
     ``digits`` sets the fractional digits of the decimal column (table and
-    json); ``exact`` keeps long ratios in the table instead of eliding them.
+    json); the table elides long ratios, which csv and json print whole.
     """
     if format == "table":
-        lines = [f"{r.n} | {_table_cell(r.value, exact)} | {rat_to_decimal(r.value, digits)}"
+        lines = [f"{r.n} | {_table_cell(r.value)} | {rat_to_decimal(r.value, digits)}"
                  for r in records]
     elif format == "csv":
         lines = ["n,P,Q,value,gap"] + [

@@ -45,9 +45,8 @@ class IndexOutOfRange(RunStopped, IndexError):
     def __init__(self, requested, available):
         self.requested = requested
         self.available = available
-        super().__init__(
-            f"moment index {requested} out of range: only {available} moments available"
-        )
+        super().__init__(f"moment index {requested} out of range: only {available} "
+                         f"moment{'' if available == 1 else 's'} available")
 
 
 class NonPositiveQ(RunStopped, ArithmeticError):

@@ -16,8 +16,7 @@ Entry H^(k)_m first needs the moment a_{k+2m-2}, so each moment adds one
 anti-diagonal j = k + 2m - 2, and only the last three anti-diagonals are
 kept. Step n adds the anti-diagonals of a_{2n+1} and a_{2n+2}; the second
 ends with Q_n = H^(2)_{n+1} and -P_n = H^(0)_{n+2}. That is O(n) new
-entries per step, O(N^2) for a sweep. ``hankel_P`` and ``hankel_Q`` read
-the last pair of a sweep to n, so each call runs one.
+entries per step, O(N^2) for a sweep.
 
 The divisor H^(k+2)_{m-1} can be zero for a custom sequence (the odd
 moments of a symmetric measure vanish, for one). From the row the table
@@ -145,6 +144,7 @@ def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fr
         yield P, Q
 
 
+# perfbench/test_perfbench.py still calls hankel_P and hankel_Q; ROADMAP item 3 removes them.
 def _last_pair(seq: MomentSequence, n: int) -> tuple[Fraction, Fraction]:
     """(P_n, Q_n), the last pair of a sweep to n."""
     if n < 0:

@@ -29,7 +29,6 @@ from collections import namedtuple
 from fractions import Fraction
 from json.decoder import scanstring
 from math import comb, factorial
-from pathlib import Path
 
 from .errors import IndexOutOfRange, ParseError
 from .exactnum import MAX_DIGITS, parse_decimal, parse_rational
@@ -181,7 +180,8 @@ def load_moments(path) -> MomentSequence:
     that limit; a moment past the end of ``a`` raises IndexOutOfRange.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"moment file is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc

@@ -131,11 +131,3 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
         norm *= t_n
         yield partial_sum * norm, norm
 
-
-def approximant_ortho(seq: MomentSequence, n: int) -> Fraction:
-    """A_n after n steps; equals the determinant ratio P_n/Q_n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for P, Q in ortho_sweep(seq, n):
-        pass
-    return P / Q

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from hankel_approx import cli, hankel, moments
 
 from .conftest import run_cli
 
@@ -46,3 +49,26 @@ def test_benchmark_workload_passes_its_own_check(workloads, tmp_path, factory, n
     workload = getattr(workloads, factory)(n_max=n_max)
     res = run_cli(workload.prepare(1, tmp_path))
     assert workload.check(res.exit_code, res.stdout) is None, res.stderr
+
+
+def test_benchmark_calls_into_the_package_outside_the_cli(capsys):
+    """Every call that ``perfbench/`` makes into the package without the
+    command line, made as it makes it.
+
+    ``perfbench/test_perfbench.py`` reads single determinants through
+    ``hankel.hankel_P`` and ``hankel_Q``, the gompertz reference through
+    ``reference.as_fraction()`` and moments through ``gamma_moment``;
+    ``perfbench/run.py --trace 1`` runs a command through click's entry
+    point ``cli.main.main``. None of them serves the package itself, so a
+    change that trims the package fails here before it breaks the
+    benchmark. ROADMAP item 3 moves the benchmark off these names and
+    deletes this test together with them.
+    """
+    seq = moments.gompertz_sequence()
+    assert (hankel.hankel_P(seq, 1), hankel.hankel_Q(seq, 1)) == (4, 7)
+    assert seq.reference.as_fraction() == Fraction(5963473623, 10**10)
+    assert moments.gamma_moment(1) == Fraction(1, 2)
+    code = cli.main.main(args=["approx", "--family", "gompertz", "--n-max", "1"],
+                         prog_name="hankel-approx", standalone_mode=False)
+    assert code is None
+    assert capsys.readouterr().out == "0 | 1/2 | 0.5000000000\n1 | 4/7 | 0.5714285714\n"

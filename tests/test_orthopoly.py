@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hankel_approx.errors import OrthogonalityLost, PositivityViolation
-from hankel_approx.hankel import hankel_P, hankel_Q
+from hankel_approx.hankel import hankel_sweep
 from hankel_approx.moments import MomentSequence
-from hankel_approx.orthopoly import approximant_ortho, ortho_sweep
+from hankel_approx.orthopoly import ortho_sweep
 
 from .oracles import inner_product, polynomials
 
@@ -133,20 +133,20 @@ def test_positivity_violation_stops_after_yielded_states():
 
 def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
     for seq in (gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
-        for n in range(4):
-            assert approximant_ortho(seq, n) == hankel_P(seq, n) / hankel_Q(seq, n)
+        pairs = list(ortho_sweep(seq, 3))
+        assert len(pairs) == 4
+        assert pairs == list(hankel_sweep(seq, 3))
 
 
 def test_norm_product_equals_hankel_Q(gompertz_seq):
-    for m, (_, norm) in enumerate(ortho_sweep(gompertz_seq, 6)):
-        assert norm == hankel_Q(gompertz_seq, m)
+    for (_, norm), (_, Q) in zip(ortho_sweep(gompertz_seq, 6), hankel_sweep(gompertz_seq, 6),
+                                 strict=True):
+        assert norm == Q
 
 
 def test_approximant_ortho_known_values(zeta2_seq):
-    assert approximant_ortho(zeta2_seq, 0) == Fraction(4, 3)
-    assert approximant_ortho(zeta2_seq, 1) == Fraction(135, 89)
-    with pytest.raises(ValueError):
-        approximant_ortho(zeta2_seq, -1)
+    # A_0 and A_1 read off the recurrence's pairs.
+    assert [P / Q for P, Q in ortho_sweep(zeta2_seq, 1)] == [Fraction(4, 3), Fraction(135, 89)]
 
 
 def test_partial_sums_nondecreasing(gompertz_seq):

@@ -1,4 +1,4 @@
-"""Property tests: the recurrence against ``hankel_P`` and ``hankel_Q``,
+"""Property tests: the recurrence against the determinant sweep's pairs,
 the determinant sweep against one bordered elimination, the elimination
 against cofactor expansion, and the driver's walk on each method against
 the recurrence read directly.
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from hankel_approx import driver, hankel
 from hankel_approx.driver import CHECK_PRIME, run_convergence
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
-from hankel_approx.hankel import hankel_P, hankel_Q, hankel_residues, hankel_sweep
+from hankel_approx.hankel import hankel_residues, hankel_sweep
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
@@ -115,38 +115,6 @@ def recurrence_run(seq, n_max):
     return pairs, None
 
 
-@small_and_fast
-@given(sequences)
-def test_partial_sums_equal_determinant_ratio(case):
-    seq, n_max = case
-    for m, (P, Q) in enumerate(recurrence_run(seq, n_max)[0]):
-        assert P / Q == hankel_P(seq, m) / hankel_Q(seq, m)
-
-
-@small_and_fast
-@given(sequences)
-def test_norm_product_equals_hankel_Q(case):
-    seq, n_max = case
-    for m, (_, norm) in enumerate(recurrence_run(seq, n_max)[0]):
-        assert norm == hankel_Q(seq, m)
-
-
-@small_and_fast
-@given(sequences)
-def test_positivity_violation_at_first_nonpositive_Q(case):
-    seq, n_max = case
-    pairs, failed_at = recurrence_run(seq, n_max)
-    first_bad = None
-    for n in range(n_max + 1):
-        try:
-            hankel_Q(seq, n)
-        except NonPositiveQ:
-            first_bad = n
-            break
-    assert failed_at == first_bad
-    assert len(pairs) == (n_max + 1 if failed_at is None else failed_at)
-
-
 def determinant_run(rows):
     """The (P_n, Q_n) rows taken from an iterator, and the n of NonPositiveQ or None."""
     taken = []
@@ -156,6 +124,37 @@ def determinant_run(rows):
     except NonPositiveQ as exc:
         return taken, exc.n
     return taken, None
+
+
+@small_and_fast
+@given(sequences)
+def test_partial_sums_equal_determinant_ratio(case):
+    seq, n_max = case
+    pairs = recurrence_run(seq, n_max)[0]
+    dets = determinant_run(hankel_sweep(seq, n_max))[0]
+    assert len(dets) >= len(pairs)
+    for (P, Q), (P_det, Q_det) in zip(pairs, dets):
+        assert P / Q == P_det / Q_det
+
+
+@small_and_fast
+@given(sequences)
+def test_norm_product_equals_hankel_Q(case):
+    seq, n_max = case
+    pairs = recurrence_run(seq, n_max)[0]
+    dets = determinant_run(hankel_sweep(seq, n_max))[0]
+    assert len(dets) >= len(pairs)
+    for (_, norm), (_, Q) in zip(pairs, dets):
+        assert norm == Q
+
+
+@small_and_fast
+@given(sequences)
+def test_positivity_violation_at_first_nonpositive_Q(case):
+    seq, n_max = case
+    pairs, failed_at = recurrence_run(seq, n_max)
+    assert failed_at == determinant_run(hankel_sweep(seq, n_max))[1]
+    assert len(pairs) == (n_max + 1 if failed_at is None else failed_at)
 
 
 @small_and_fast
