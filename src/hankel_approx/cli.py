@@ -6,7 +6,7 @@ positivity violation, 4 I/O or parse error.
 
 from __future__ import annotations
 
-import json
+import os
 import re
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
@@ -123,6 +123,8 @@ def moments(args):
     except IndexOutOfRange as exc:
         _exit(exc, EXIT_IO)
     if args.fmt == "json":
+        import json  # here, so that csv runs never load it
+
         doc = {"name": seq.name, "a": [format_rational(v) for v in values]}
         if seq.reference is not None:
             doc["reference"] = seq.reference.decimal
@@ -190,8 +192,20 @@ def main(argv=None):
                      help="Output format (default: json).")
     sub = _command(commands, validate)
     sub.add_argument("--n-max", type=_integer(0), required=True, help="Highest index to validate.")
-    args = parser.parse_args(argv)
-    args.run(args)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # named by the command's parser, with its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    try:
+        try:
+            args.run(args)
+        finally:  # flush here, where a closed pipe is caught, not at exit
+            if sys.stdout is not None:  # None when started with no stdout
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`| head`): send what is still buffered to
+        # os.devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _exit("stdout was closed before the output was complete", EXIT_IO)
 
 
 # perfbench/run.py still calls click's entry point; ROADMAP item 3 removes this alias.

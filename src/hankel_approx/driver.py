@@ -28,7 +28,6 @@ produced before the failure so callers can still report partial progress.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
@@ -133,6 +132,8 @@ def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS) -> str:
             f"{r.n},{format_rational(r.P)},{format_rational(r.Q)},{format_rational(r.value)},"
             + (format_rational(r.gap) if r.gap is not None else "") for r in records]
     elif format == "json":
+        import json  # here, so that table and csv runs never load it
+
         return json.dumps([{
             "n": r.n,
             "P": format_rational(r.P),

@@ -21,10 +21,8 @@ class ParseError(ValueError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        if line is not None:
-            message = f"{message} (line {line}" + (
-                f", column {column})" if column is not None else ")"
-            )
+        if line is not None:  # every caller passes both or neither
+            message = f"{message} (line {line}, column {column})"
         super().__init__(message)
 
 

@@ -23,11 +23,9 @@ reports at runtime. ``cli._sequence`` maps family names to these builders.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from json.decoder import scanstring
 from math import comb, factorial
 
 from .errors import IndexOutOfRange, ParseError
@@ -147,6 +145,8 @@ def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:
     """Line and column of the string literal in the JSON text ``raw`` that
     decodes to ``token``; (None, None) unless exactly one does, as then the
     literal that was parsed cannot be told apart from the others."""
+    from json.decoder import scanstring
+
     found, at = [], raw.find('"')
     while at >= 0:
         text, end = scanstring(raw, at + 1)
@@ -179,6 +179,8 @@ def load_moments(path) -> MomentSequence:
     not UTF-8, too deep for the JSON parser or holds a number literal past
     that limit; a moment past the end of ``a`` raises IndexOutOfRange.
     """
+    import json  # here, so that runs on a built-in family never load it
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()

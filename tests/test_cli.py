@@ -299,6 +299,10 @@ def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
         "FAIL positive-definite: squared norm fails at degree 8; positive through 7\n")
 
 
+# Arguments after a complete ``approx`` command that it does not take.
+UNKNOWN_TRAILING = (["--out", "x"], ["--exact"], ["extra"])
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -331,15 +335,18 @@ def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
         ["approx", "--family", "zeta", "--k", "\u0662", "--n-max", "1"],
         ["approx", "--family", "gompertz", "--n-max", "1", "--digits", "\u0663"],
         ["moments", "--family", "gompertz", "--count", "\u0662"],
-        # No --out (the shell's > does its job) and no --exact (--format json prints each ratio).
-        ["approx", "--family", "gompertz", "--n-max", "1", "--out", "x"],
-        ["approx", "--family", "gompertz", "--n-max", "1", "--exact"],
+        # No --out (the shell's > does its job) and no --exact (--format json
+        # prints each ratio), nor any other argument after a complete command.
+        *(["approx", "--family", "gompertz", "--n-max", "1", *extra] for extra in UNKNOWN_TRAILING),
     ],
 )
 def test_usage_errors_exit_2(args):
     res = run_cli(args)
     assert res.exit_code == 2
     assert res.stdout == ""
+    if args[5:] in UNKNOWN_TRAILING:  # named by the command's parser, not the top level's
+        assert res.stderr == ("usage: hankel-approx approx [OPTIONS]\nhankel-approx approx: "
+                              f"error: unrecognized arguments: {' '.join(args[5:])}\n")
     if "--moments-file" in args:  # a built-in family with a moment file, named
         assert res.stderr.endswith("error: --moments-file only applies to --family custom\n")
     if any(not arg.isascii() or "_" in arg or arg != arg.strip() for arg in args):
@@ -579,16 +586,52 @@ def test_cli_import_loads_every_package_module():
 def test_cli_imports_no_click_dataclasses_inspect_or_typing():
     # Each of the first four pulls in inspect or typing, which is most of the
     # import time of a command, and pathlib alone takes 5-9 ms (CPython
-    # 3.11). Run without site (-S), as a site .pth file may load them
-    # itself; the command then prints the README's gompertz rows.
+    # 3.11); json is imported only where JSON is read or written. Run
+    # without site (-S), as a site .pth file may load them itself; the
+    # command then prints the README's gompertz rows.
+    unwanted = {"click", "dataclasses", "inspect", "pathlib", "typing",
+                "json", "json.decoder", "json.scanner", "json.encoder", "_json"}
     env = {**os.environ, "PYTHONPATH": str(Path(hankel_approx.__file__).parent.parent)}
     loaded = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, hankel_approx.cli; print(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout.split()
-    assert {"click", "dataclasses", "inspect", "pathlib", "typing"}.isdisjoint(loaded)
+    assert unwanted.isdisjoint(loaded)
+    # A csv run on a built-in family loads none of them either.
+    *rows, loaded = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, hankel_approx.cli as cli; "
+         "cli.main(sys.argv[1:]); print(*sys.modules)",
+         "approx", "--family", "gompertz", "--n-max", "3", "--format", "csv"],
+        env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert len(rows) == 5 and rows[0] == "n,P,Q,value,gap"
+    assert unwanted.isdisjoint(loaded.split())
     res = subprocess.run(
         [sys.executable, "-S", "-m", "hankel_approx.cli", "approx", "--family", "gompertz",
          "--n-max", "3"], env=env, capture_output=True, text=True)
     assert (res.returncode, res.stderr) == (0, "")
     assert res.stdout.splitlines() == [
         f"{n} | {GOMPERTZ_ROWS[n][0]} | {GOMPERTZ_ROWS[n][1]}" for n in range(4)]
+
+
+def test_closed_stdout_exits_4_without_a_traceback():
+    # gamma-both's command prints 69,255 bytes, more than a pipe holds, so
+    # closing the pipe after a few bytes stops the child mid-write.
+    command = [sys.executable, "-m", "hankel_approx.cli", "approx", "--family", "gamma",
+               "--n-max", "13", "--format", "csv"]
+    # Buffered, as stdout to a pipe is by default: what the buffer still
+    # holds must not raise again in the flush at exit.
+    env = {**os.environ, "PYTHONPATH": str(Path(hankel_approx.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    child = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, bufsize=0)
+    head = child.stdout.read(8)  # at most 8 bytes: the child blocks on the rest
+    assert head and b"n,P,Q,value,gap".startswith(head)
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 4
+    # one error line: no traceback, no "Exception ignored" from the flush at exit
+    assert stderr == "error: stdout was closed before the output was complete\n"
+    # Started with no stdout at all (fd 1 closed), sys.stdout is None.
+    res = subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True,
+                         preexec_fn=lambda: os.close(1))
+    assert "Traceback" not in res.stderr
