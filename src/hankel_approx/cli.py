@@ -195,17 +195,19 @@ def main(argv=None):
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # named by the command's parser, with its usage line
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    closed = "stdout was closed before the output was complete"
+    if sys.stdout is None:  # started with no stdout (`>&-`): print would drop every row
+        _exit(closed, EXIT_IO)
     try:
         try:
             args.run(args)
         finally:  # flush here, where a closed pipe is caught, not at exit
-            if sys.stdout is not None:  # None when started with no stdout
-                sys.stdout.flush()
+            sys.stdout.flush()
     except BrokenPipeError:
         # stdout was closed early (`| head`): send what is still buffered to
         # os.devnull, so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _exit("stdout was closed before the output was complete", EXIT_IO)
+        _exit(closed, EXIT_IO)
 
 
 # perfbench/run.py still calls click's entry point; ROADMAP item 3 removes this alias.

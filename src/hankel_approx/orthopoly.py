@@ -41,14 +41,18 @@ conflating them is the classic off-by-one here.
 Only two rows of the table are kept. Row k holds sigma_{k,k+i}, i >= 0,
 as a list N_k of Python ints over one positive denominator d_k, reduced
 so that d_k and the entries share no factor; row 0 is a_2 .. a_{2n+2}
-over the lcm of their denominators. With alpha_k = u/v and beta_k = w/z
-in lowest terms, C = lcm(v d_k, z d_{k-1}), A = C/(v d_k) and
+over the lcm of their denominators. Each row also carries t_k = N_k[0]/d_k
+and r_k = sigma_{k,k+1}/t_k = N_k[1]/N_k[0], reduced once when the row is
+built, and alpha_k = r_k - r_{k-1}, beta_k = t_k/t_{k-1} are read off them.
+With alpha_k = u/v and beta_k = w/z in lowest terms, f = gcd(w, d_{k-1})
+is cancelled first, so that C = lcm(v d_k, z d_{k-1}/f) is the least
+common denominator of the three terms; with A = C/(v d_k) and
 B = w C/(z d_{k-1}), row k+1 is
 
     M_i = A (v N_k[i+2] - u N_k[i+1]) - B N_{k-1}[i+2]      over C,
 
-reduced by one gcd of C and every M_i. The denominators cancel in
-alpha_k = N_k[1]/N_k[0] - N_{k-1}[1]/N_{k-1}[0], and beta_k = t_k/t_{k-1}.
+reduced by one gcd of C and every M_i. (Left in, f would ride along in
+C and in every product, only for that gcd to divide it back out.)
 Row -1 is zero (q_{-1} = 0), and s_{k+1} = sigma_{k,0} - alpha_k s_k -
 beta_k s_{k-1}, where sigma_{k,0} is a_2 for k = 0 and 0 after it.
 
@@ -81,11 +85,11 @@ from .moments import MomentSequence
 
 
 def _coefficients(row: tuple, prev: tuple, k: int) -> tuple:
-    """(alpha_k, beta_k) read off rows k and k-1, each (numerators, denominator)."""
-    (N, d), (M, e) = row, prev
+    """(alpha_k, beta_k) read off rows k and k-1, each (numerators,
+    denominator, t_k, sigma_{k,k+1}/t_k)."""
     if k == 0:  # beta_0 = t_0 by convention: it multiplies q_{-1} = 0
-        return Fraction(N[1], N[0]), Fraction(N[0], d)
-    return Fraction(N[1], N[0]) - Fraction(M[1], M[0]), Fraction(N[0] * e, d * M[0])
+        return row[3], row[2]
+    return row[3] - prev[3], row[2] / prev[2]
 
 
 def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
@@ -109,10 +113,11 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
             if len(row[0]) < 2:  # alpha_{n-1} needs a_{2n+1}
                 raise short
             alpha, beta = _coefficients(row, prev, n - 1)
-            (N, d), (M, e) = row, prev
-            X, Y = alpha.denominator * d, beta.denominator * e
+            (N, d, *_), (M, e, *_) = row, prev
+            f = gcd(beta.numerator, e)
+            X, Y = alpha.denominator * d, beta.denominator * (e // f)
             h = gcd(X, Y)
-            A, B = Y // h, beta.numerator * (X // h)  # C = lcm(X, Y) = A X, B = w C/Y
+            A, B = Y // h, beta.numerator // f * (X // h)  # C = lcm(X, Y) = A X, B = w C/(z e)
             C, Av, Au = A * X, A * alpha.denominator, A * alpha.numerator
             for l, value in ((n - 2, Av * N[0] - B * M[0]),
                              (n - 1, Av * N[1] - Au * N[0] - B * M[1])):
@@ -122,12 +127,13 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
             g = gcd(C, *nxt)
             prev, row = row, ([x // g for x in nxt], C // g)
             s, s_prev = (moments[1] if n == 1 else 0) - alpha * s - beta * s_prev, s
-        if not row[0]:  # t_n needs a_{2n+2}
+        N, d = row
+        if not N:  # t_n needs a_{2n+2}
             raise short
-        t_n = Fraction(row[0][0], row[1])
+        t_n = Fraction(N[0], d)
         if t_n <= 0:
             raise PositivityViolation(n, t_n)
-        partial_sum += s * s / t_n
+        row = N, d, t_n, Fraction(N[1], N[0]) if len(N) > 1 else None
+        partial_sum += s ** 2 / t_n
         norm *= t_n
         yield partial_sum * norm, norm
-

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hankel_approx import cli, hankel, moments
+from hankel_approx import cli, hankel, moments, orthopoly
 
 from .conftest import run_cli
 
@@ -49,6 +49,19 @@ def test_benchmark_workload_passes_its_own_check(workloads, tmp_path, factory, n
     workload = getattr(workloads, factory)(n_max=n_max)
     res = run_cli(workload.prepare(1, tmp_path))
     assert workload.check(res.exit_code, res.stdout) is None, res.stderr
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recurrence_equals_determinant_sweep_on_measure_ortho(workloads, seed):
+    # The moments of measure-ortho's file, read exactly: both routes give
+    # the same (P_n, Q_n) at every n <= 15, not only the same approximant.
+    n_max = 15
+    measure = workloads.discrete_measure(seed, n_max + 1)
+    seq = moments.MomentSequence(f"measure-{seed}",
+                                 values=workloads.measure_moments(measure, 2 * n_max + 2))
+    pairs = list(orthopoly.ortho_sweep(seq, n_max))
+    assert len(pairs) == n_max + 1
+    assert pairs == list(hankel.hankel_sweep(seq, n_max))
 
 
 def test_benchmark_calls_into_the_package_outside_the_cli(capsys):

@@ -635,3 +635,23 @@ def test_closed_stdout_exits_4_without_a_traceback():
     res = subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True,
                          preexec_fn=lambda: os.close(1))
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "approx --family gompertz --n-max 3",
+    "validate --family gompertz --n-max 3",
+    "moments --family gompertz --count 3",
+])
+def test_no_stdout_is_a_closed_stdout(command):
+    # Started with fd 1 closed, print would drop every row and the command
+    # would exit 0: a silent success. It exits 4 with one error line, and a
+    # usage error there still exits 2.
+    env = {**os.environ, "PYTHONPATH": str(Path(hankel_approx.__file__).parent.parent)}
+    shell = f"'{sys.executable}' -m hankel_approx.cli {command} >&-"
+    res = subprocess.run(["sh", "-c", shell], env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr == "error: stdout was closed before the output was complete\n"
+    res = subprocess.run(["sh", "-c", shell + " --no-such-option"], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1].endswith("error: unrecognized arguments: --no-such-option")

@@ -83,13 +83,28 @@ def test_ortho_sweep_yields_every_index(zeta3_seq, coefficients):
         assert all(q[-1] == 1 for q in polys)
 
 
-def test_orthogonality_small(gompertz_seq, coefficients):
-    t = norms(list(ortho_sweep(gompertz_seq, 8)))
-    polys = polynomials(coefficients)
-    for i in range(len(polys)):
-        for j in range(i):
-            assert inner_product(polys[i], polys[j], gompertz_seq) == 0
-        assert inner_product(polys[i], polys[i], gompertz_seq) == t[i]
+def seeded_measure(seed: int, nodes: int = 12, count: int = 18) -> MomentSequence:
+    """a_k = sum_i w_i x_i^k of ``nodes`` seeded positive nodes and weights."""
+    rng = random.Random(seed)
+    measure = [(Fraction(rng.randint(1, 99), rng.randint(1, 20)), Fraction(rng.randint(1, 50), 64))
+               for _ in range(nodes)]
+    return MomentSequence(f"measure-{seed}",
+                          values=[sum(w * x ** k for x, w in measure) for k in range(1, count + 1)])
+
+
+def test_orthogonality_small(gompertz_seq, zeta2_seq, coefficients):
+    # On zeta(2) and the measure, beta_k's numerator shares a factor with
+    # the older row's denominator from k = 2 on, which the row update
+    # cancels before it forms the next row.
+    for seq in (gompertz_seq, zeta2_seq, seeded_measure(7)):
+        coefficients.clear()
+        t = norms(list(ortho_sweep(seq, 8)))
+        polys = polynomials(coefficients)
+        assert len(polys) == 9, seq.name
+        for i in range(len(polys)):
+            for j in range(i):
+                assert inner_product(polys[i], polys[j], seq) == 0, seq.name
+            assert inner_product(polys[i], polys[i], seq) == t[i], seq.name
 
 
 def test_ortho_sweep_stops_at_lost_orthogonality(gompertz_seq, skewed_alpha_1):
@@ -144,7 +159,7 @@ def test_norm_product_equals_hankel_Q(gompertz_seq):
         assert norm == Q
 
 
-def test_approximant_ortho_known_values(zeta2_seq):
+def test_ortho_sweep_known_values(zeta2_seq):
     # A_0 and A_1 read off the recurrence's pairs.
     assert [P / Q for P, Q in ortho_sweep(zeta2_seq, 1)] == [Fraction(4, 3), Fraction(135, 89)]
 
