@@ -11,7 +11,7 @@ import re
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 
-from .driver import FORMATS, METHODS, cross_validate, emit, run_convergence
+from .driver import FORMATS, METHODS, cross_validate, emit, walk
 from .errors import (
     EXIT_IO,
     EXIT_POSITIVITY,
@@ -100,11 +100,13 @@ def _exit_stopped(exc: RunStopped):
 def approx(args):
     """Compute approximants P_n/Q_n for n = 0 .. N_MAX."""
     seq = _sequence(args)
+    records, stop = [], None
     try:
-        records, stop = run_convergence(seq, args.n_max, args.method), None
+        for record in walk(seq, args.n_max, args.method):
+            records.append(record)
     except RunStopped as exc:
         # print the rows before the stop, unless the routes disagree (exit 2)
-        records, stop = (None if exc.exit_code == EXIT_VALIDATION else exc.records), exc
+        records, stop = ([] if exc.exit_code == EXIT_VALIDATION else records), exc
     if records:
         print(emit(records, args.fmt, args.digits))
     if stop is not None:

@@ -16,14 +16,15 @@ the prime divides the numerators of both differences to the true pair. A
 row the residues cannot form (a pivot or moment denominator that the
 prime divides) and every later one are compared exactly.
 
-``run_convergence`` is that walk: it returns the records, which ``approx``
-prints. ``cross_validate`` runs it with exact comparison and returns the
-check lines that ``validate`` prints, as (name, passed, detail) tuples.
-Both take a MomentSequence, which ``cli._sequence`` builds.
+``walk`` yields that walk's records, which ``approx`` prints.
+``cross_validate`` runs it with exact comparison and returns the check
+lines that ``validate`` prints, as (name, passed, detail) tuples. Both
+take a MomentSequence, which ``cli._sequence`` builds.
 
 Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
-NonPositiveQ, IndexOutOfRange) are RunStopped errors: they carry the records
-produced before the failure so callers can still report partial progress.
+NonPositiveQ, IndexOutOfRange) are RunStopped errors, raised after the last
+record the walk yielded, so a caller that keeps the rows it was given can
+still report partial progress.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
-from .errors import EngineMismatch, NonPositiveQ, PositivityViolation, RunStopped
+from .errors import EngineMismatch, NonPositiveQ, PositivityViolation
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import MomentSequence
@@ -68,10 +69,9 @@ def _determinant_checks(seq, n_max: int, exact: bool):
         yield None, pair
 
 
-def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
-                    exact: bool = False) -> list:
-    """Records for n = 0 .. n_max, in order: from the determinant sweep
-    alone ("det"), or from both routes in lock step ("both").
+def walk(seq: MomentSequence, n_max: int, method: str = "both", exact: bool = False):
+    """Yield the records for n = 0 .. n_max, in order: from the determinant
+    sweep alone ("det"), or from both routes in lock step ("both").
 
     With "both" the recurrence produces every record, and at each n its
     (A_n N_n, N_n) must equal the determinants' (P_n, Q_n), which checks
@@ -79,8 +79,9 @@ def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
     raises EngineMismatch. The recurrence runs first at each n, so its
     errors come before anything from the determinant side. With ``exact``
     the pairs are compared exactly, otherwise mod CHECK_PRIME (see above).
-    Any abortive error carries the records finished before it. A negative
-    ``n_max`` or a method outside METHODS raises ValueError.
+    An abortive error is raised after the last record that both routes
+    formed. A negative ``n_max`` or a method outside METHODS raises
+    ValueError at the first ``next()``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -92,22 +93,16 @@ def run_convergence(seq: MomentSequence, n_max: int, method: str = "both",
     else:
         rows = ((pair, None) for pair in hankel_sweep(seq, n_max))
 
-    records = []
-    try:
-        for n, (pair, check) in enumerate(rows):
-            if check is not None:
-                modulus, expected = check
-                seen = pair if modulus is None else tuple(residue(x, modulus) for x in pair)
-                if seen != expected:
-                    raise EngineMismatch(n, expected, seen, modulus)
-            P, Q = pair
-            value = P / Q
-            gap = ref_value - value if ref_value is not None else None
-            records.append(ApproximantRecord(n, P, Q, value, gap, method))
-    except RunStopped as exc:
-        exc.records = records
-        raise
-    return records
+    for n, (pair, check) in enumerate(rows):
+        if check is not None:
+            modulus, expected = check
+            seen = pair if modulus is None else tuple(residue(x, modulus) for x in pair)
+            if seen != expected:
+                raise EngineMismatch(n, expected, seen, modulus)
+        P, Q = pair
+        value = P / Q
+        gap = ref_value - value if ref_value is not None else None
+        yield ApproximantRecord(n, P, Q, value, gap, method)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +162,7 @@ def cross_validate(seq: MomentSequence, n_max: int) -> list[tuple[str, bool, str
     OrthogonalityLost (the recurrence checks this at every step).
     """
     try:
-        records = run_convergence(seq, n_max, exact=True)
+        records = list(walk(seq, n_max, exact=True))
     except PositivityViolation as exc:
         return [("positive-definite", False,
                  f"squared norm fails at degree {exc.index}; positive through {exc.index - 1}")]

@@ -27,11 +27,9 @@ class ParseError(ValueError):
 
 
 class RunStopped(Exception):
-    """A walk over n = 0, 1, ... stopped at n = len(records): the walk sets
-    ``records`` to the rows it finished before the stop (None until then).
+    """A walk over n = 0, 1, ... stopped after the rows it yielded.
     ``exit_code`` is the CLI's exit code for this kind of stop."""
 
-    records = None
     exit_code: int
 
 

@@ -10,7 +10,6 @@ import pytest
 from hankel_approx import driver, hankel, orthopoly
 from hankel_approx.cli import main
 from hankel_approx.driver import ApproximantRecord
-from hankel_approx.errors import RunStopped
 from hankel_approx.moments import (
     factorial_sequence,
     gamma_sequence,
@@ -118,18 +117,20 @@ def skewed_alpha_1(skew_alpha):
     skew_alpha(1)
 
 
-def ortho_records(seq, n_max: int) -> list:
-    """Records for n = 0 .. n_max from ``ortho_sweep`` read directly: the
-    recurrence alone, with no determinant check and no gap. An abortive
-    error carries the records before it, as from the driver's walk."""
-    records = []
-    try:
-        for n, (P, Q) in enumerate(orthopoly.ortho_sweep(seq, n_max)):
-            records.append(ApproximantRecord(n, P, Q, P / Q, None, "ortho"))
-    except RunStopped as exc:
-        exc.records = records
-        raise
-    return records
+def ortho_records(seq, n_max: int):
+    """Yield the records for n = 0 .. n_max from ``ortho_sweep`` read
+    directly: the recurrence alone, with no determinant check and no gap.
+    An abortive error comes after the records before it, as from the
+    driver's walk."""
+    for n, (P, Q) in enumerate(orthopoly.ortho_sweep(seq, n_max)):
+        yield ApproximantRecord(n, P, Q, P / Q, None, "ortho")
+
+
+def collect(rows, into: list) -> None:
+    """Append the records that the iteration ``rows`` yields to ``into``
+    one by one: a stop raised part way leaves the rows before it there."""
+    for row in rows:
+        into.append(row)
 
 
 def record_coefficients(monkeypatch) -> list:

@@ -27,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from hankel_approx import driver, hankel
-from hankel_approx.driver import run_convergence
+from hankel_approx.driver import walk
 from hankel_approx.exactnum import parse_decimal, rat_to_decimal
 from hankel_approx.hankel import hankel_sweep
 from hankel_approx.moments import (
@@ -218,7 +218,7 @@ def test_default_walk_makes_no_exact_determinant_call(det_sweeps, sequences, mon
     det_calls = record_eliminations(monkeypatch)
     for family, (_, _, top) in FAMILIES.items():
         top = 48 if family == "gompertz" else top
-        records = run_convergence(sequences[family], top)
+        records = list(walk(sequences[family], top))
         assert [r.n for r in records] == list(range(top + 1)), family
         assert [(r.P, r.Q) for r in records[:len(det_sweeps[family])]] == det_sweeps[family]
     assert (sweep_rows, det_calls) == ([], [])

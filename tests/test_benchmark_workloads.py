@@ -4,8 +4,10 @@
 plus its own check of the output, computed without the package. Running
 them here catches a change that breaks a benchmark command (dropping an
 option a workload passes, say) before the benchmark itself runs, and
-checks the recurrence on the inputs the benchmark times. The
-module is imported from its file and left unchanged.
+checks the recurrence on the inputs the benchmark times. The workloads
+also run under ``perfbench/spans.py``'s tracer, as ``perfbench/run.py
+--trace 1`` runs them. Both modules are imported from their files and left
+unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hankel_approx import cli, hankel, moments, orthopoly
 from .conftest import run_cli
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SPANS = WORKLOADS.with_name("spans.py")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,32 @@ def workloads():
 def test_benchmark_workload_passes_its_own_check(workloads, tmp_path, factory, n_max):
     workload = getattr(workloads, factory)(n_max=n_max)
     res = run_cli(workload.prepare(1, tmp_path))
+    assert workload.check(res.exit_code, res.stdout) is None, res.stderr
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("factory, n_max", [
+    ("gamma_both", 3), ("factorial_det", 5), ("measure_ortho", 4)])
+def test_benchmark_workload_passes_its_own_check_when_traced(
+        workloads, spans, tmp_path, factory, n_max):
+    # The tracer replaces the package's functions by name with wrappers that
+    # read what they return; a generator under a traced name would be
+    # drained by its wrapper, and the command would print no rows.
+    workload = getattr(workloads, factory)(n_max=n_max)
+    args = workload.prepare(1, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        res = run_cli(args)
+    finally:
+        tracer.uninstall()
     assert workload.check(res.exit_code, res.stdout) is None, res.stderr
 
 

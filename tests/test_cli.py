@@ -17,7 +17,7 @@ from hankel_approx.errors import PositivityViolation
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import load_moments
 
-from .conftest import ortho_records, record_eliminations, run_cli
+from .conftest import collect, ortho_records, record_eliminations, run_cli
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -278,9 +278,10 @@ def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
             "approx", "--family", "custom", "--moments-file", str(path),
             "--n-max", "8", "--format", "csv"] + (["--method", method] if method else []))
         eliminations[method] = calls[before:]
-    with pytest.raises(PositivityViolation) as excinfo:
-        ortho_records(load_moments(path), 8)
-    ortho = emit(excinfo.value.records, "csv") + "\n"
+    partial = []
+    with pytest.raises(PositivityViolation):
+        collect(ortho_records(load_moments(path), 8), partial)
+    ortho = emit(partial, "csv") + "\n"
     assert [res.exit_code for res in runs.values()] == [3, 3, 3]
     assert runs["det"].stdout == runs["both"].stdout == runs[None].stdout == ortho
     assert [line.split(",")[0] for line in runs["det"].stdout.splitlines()[1:]] == [

@@ -12,7 +12,7 @@ from hankel_approx.driver import (
     ApproximantRecord,
     cross_validate,
     emit,
-    run_convergence,
+    walk,
 )
 from hankel_approx.errors import (
     EngineMismatch,
@@ -33,7 +33,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
-from .conftest import ortho_records
+from .conftest import collect, ortho_records
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -41,25 +41,25 @@ from .oracles import records_from_json
 def test_runs_reject_bad_input():
     # Both take a resolved sequence; the family arguments are checked where
     # they are resolved (test_moments and the CLI's usage-error tests).
-    run_convergence(gamma_sequence(), 0)  # minimal valid run
-    for run in (run_convergence, cross_validate):
+    list(walk(gamma_sequence(), 0))  # minimal valid run
+    for run in (lambda *args: list(walk(*args)), cross_validate):
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             run(gamma_sequence(), -1)
     with pytest.raises(ValueError, match="unknown method: 'magic'"):
-        run_convergence(gompertz_sequence(), 3, "magic")
+        list(walk(gompertz_sequence(), 3, "magic"))
 
 
 def test_run_convergence_default_method(write_moments_file):
-    assert {r.method for r in run_convergence(gompertz_sequence(), 2)} == {"both"}
-    det = run_convergence(gompertz_sequence(), 2, "det")
+    assert {r.method for r in walk(gompertz_sequence(), 2)} == {"both"}
+    det = list(walk(gompertz_sequence(), 2, "det"))
     assert {r.method for r in det} == {"det"}
     path = write_moments_file("mine", ["1", "2", "5", "16"])
-    custom = run_convergence(load_moments(path), 1)
+    custom = list(walk(load_moments(path), 1))
     assert {r.method for r in custom} == {"both"}
 
 
 def test_run_convergence_matches_known_rows():
-    records = run_convergence(gompertz_sequence(), 5)
+    records = list(walk(gompertz_sequence(), 5))
     assert [r.n for r in records] == list(range(6))
     for r in records:
         frac, decimal = GOMPERTZ_ROWS[r.n]
@@ -71,51 +71,53 @@ def test_run_convergence_matches_known_rows():
 
 
 def test_run_convergence_gaps_shrink():
-    records = run_convergence(zeta_sequence(2), 6)
+    records = list(walk(zeta_sequence(2), 6))
     gaps = [r.gap for r in records]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 def test_run_convergence_methods_agree():
-    det = run_convergence(zeta_sequence(3), 5, "det")
-    ortho = ortho_records(zeta_sequence(3), 5)
+    det = list(walk(zeta_sequence(3), 5, "det"))
+    ortho = list(ortho_records(zeta_sequence(3), 5))
     assert [r.value for r in det] == [r.value for r in ortho]
     assert [(r.P, r.Q) for r in det] == [(r.P, r.Q) for r in ortho]
 
 
 def test_run_convergence_factorial_has_no_gap():
-    records = run_convergence(factorial_sequence(), 4)
+    records = list(walk(factorial_sequence(), 4))
     assert all(r.gap is None for r in records)
 
 
 def test_run_convergence_positivity_violation_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
-    with pytest.raises(PositivityViolation) as excinfo:
-        run_convergence(load_moments(path), 3)
-    partial = excinfo.value.records
+    partial = []
+    with pytest.raises(PositivityViolation):
+        collect(walk(load_moments(path), 3), partial)
     assert [r.n for r in partial] == [0]
     assert partial[0].value == 1
 
 
 def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
+    partial = []
     with pytest.raises(NonPositiveQ) as excinfo:
-        run_convergence(load_moments(path), 3, "det")
+        collect(walk(load_moments(path), 3, "det"), partial)
     assert excinfo.value.n == 1
-    assert [r.n for r in excinfo.value.records] == [0]
+    assert [r.n for r in partial] == [0]
 
 
 @pytest.mark.parametrize("method", ["ortho", "det", "both"])
 def test_run_convergence_short_file_carries_records(write_moments_file, method):
     # "ortho" reads the recurrence directly, which must stop the same way.
     path = write_moments_file("short", ["1", "2", "5", "16"])
+    partial = []
     with pytest.raises(IndexOutOfRange) as excinfo:
         if method == "ortho":
-            ortho_records(load_moments(path), 3)
+            collect(ortho_records(load_moments(path), 3), partial)
         else:
-            run_convergence(load_moments(path), 3, method)
+            collect(walk(load_moments(path), 3, method), partial)
     assert (excinfo.value.requested, excinfo.value.available) == (5, 4)
-    assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
+    assert [r.value for r in partial] == [Fraction(1, 2), Fraction(4, 7)]
 
 
 @pytest.mark.parametrize("method", ["ortho", "det", "both"])
@@ -123,34 +125,37 @@ def test_run_convergence_short_file_of_odd_length_carries_records(write_moments_
     # a_5 is there but a_6 is not: the rows n = 0, 1 come first, and the
     # stop names a_6, as if the moments were read one at a time.
     path = write_moments_file("short", ["1", "2", "5", "16", "65"])
+    partial = []
     with pytest.raises(IndexOutOfRange) as excinfo:
         if method == "ortho":
-            ortho_records(load_moments(path), 3)
+            collect(ortho_records(load_moments(path), 3), partial)
         else:
-            run_convergence(load_moments(path), 3, method)
+            collect(walk(load_moments(path), 3, method), partial)
     assert (excinfo.value.requested, excinfo.value.available) == (6, 5)
-    assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
+    assert [r.value for r in partial] == [Fraction(1, 2), Fraction(4, 7)]
 
 
 @pytest.mark.parametrize("method", ["ortho", "both"])
 def test_short_flat_file_stops_at_positivity_first(write_moments_file, method):
     # t_1 = 0 comes before the missing a_6 on the recurrence's side.
     path = write_moments_file("flat", ["1"] * 5)
+    partial = []
     with pytest.raises(PositivityViolation) as excinfo:
         if method == "ortho":
-            ortho_records(load_moments(path), 3)
+            collect(ortho_records(load_moments(path), 3), partial)
         else:
-            run_convergence(load_moments(path), 3, method)
+            collect(walk(load_moments(path), 3, method), partial)
     assert (excinfo.value.index, excinfo.value.value) == (1, 0)
-    assert [r.value for r in excinfo.value.records] == [1]
+    assert [r.value for r in partial] == [1]
 
 
 def test_run_convergence_detects_engine_mismatch(skew_residues):
     skew_residues(0, lambda P, Q: (0, Q))
+    partial = []
     with pytest.raises(EngineMismatch) as excinfo:
-        run_convergence(gompertz_sequence(), 2)
+        collect(walk(gompertz_sequence(), 2), partial)
     assert excinfo.value.n == 0
-    assert excinfo.value.records == []
+    assert partial == []
     assert excinfo.value.modulus == CHECK_PRIME == 2**61 - 1
     assert (excinfo.value.det_pair, excinfo.value.ortho_pair) == ((0, 2), (1, 2))
     assert str(excinfo.value).endswith(", both mod 2305843009213693951")
@@ -158,21 +163,23 @@ def test_run_convergence_detects_engine_mismatch(skew_residues):
 
 def test_cross_validate_detects_engine_mismatch_exactly(monkeypatch, skew_sweep):
     skew_sweep(0, lambda P, Q: (Fraction(0), Q))
-    raised, walk = [], driver.run_convergence
+    yielded, raised, exact_walk = [], [], driver.walk
 
     def spy(*args, **kwargs):
         try:
-            return walk(*args, **kwargs)
+            for record in exact_walk(*args, **kwargs):
+                yielded.append(record)
+                yield record
         except EngineMismatch as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(driver, "run_convergence", spy)
+    monkeypatch.setattr(driver, "walk", spy)
     checks = cross_validate(gompertz_sequence(), 2)
     assert checks == [("engine-agreement", False, "paths disagree first at n = 0")]
     [exc] = raised
     assert exc.modulus is None
-    assert (exc.n, exc.records) == (0, [])
+    assert (exc.n, yielded) == (0, [])
     assert (exc.det_pair, exc.ortho_pair) == ((0, 2), (1, 2))
     assert "mod" not in str(exc)
 
@@ -184,21 +191,23 @@ def test_default_walk_compares_exactly_from_the_first_row_the_prime_cannot_form(
     monkeypatch.setattr(driver, "CHECK_PRIME", 7)
     assert len(list(hankel_residues(gompertz_sequence(), 6, 7))) == 2
     skew_sweep(1, lambda P, Q: (P + 1, Q))
-    both = run_convergence(gompertz_sequence(), 6)
-    ortho = ortho_records(gompertz_sequence(), 6)
+    both = list(walk(gompertz_sequence(), 6))
+    ortho = list(ortho_records(gompertz_sequence(), 6))
     assert [(r.n, r.P, r.Q) for r in both] == [(r.n, r.P, r.Q) for r in ortho]
     skew_sweep(4, lambda P, Q: (P, Q + 1))  # on top of the row-1 change
+    partial = []
     with pytest.raises(EngineMismatch) as excinfo:
-        run_convergence(gompertz_sequence(), 6)
+        collect(walk(gompertz_sequence(), 6), partial)
     assert (excinfo.value.n, excinfo.value.modulus) == (4, None)
-    assert [r.n for r in excinfo.value.records] == [0, 1, 2, 3]
+    assert [r.n for r in partial] == [0, 1, 2, 3]
 
 
 def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
+    partial = []
     with pytest.raises(OrthogonalityLost) as excinfo:
-        run_convergence(gompertz_sequence(), 4)
+        collect(walk(gompertz_sequence(), 4), partial)
     assert excinfo.value.degree == 2
-    assert [r.value for r in excinfo.value.records] == [Fraction(1, 2), Fraction(4, 7)]
+    assert [r.value for r in partial] == [Fraction(1, 2), Fraction(4, 7)]
 
 
 def test_every_stop_is_a_run_stopped_with_its_exit_code():
@@ -211,14 +220,14 @@ def test_every_stop_is_a_run_stopped_with_its_exit_code():
 
 
 def test_compare_reference():
-    records = run_convergence(gompertz_sequence(), 2)
+    records = list(walk(gompertz_sequence(), 2))
     ref = ReferenceConstant("0.5963473623")
     for r in records:
         assert r.gap == ref.as_fraction() - r.value
 
 
 def test_emit_table_elides_large_rationals():
-    records = run_convergence(gompertz_sequence(), 21)
+    records = list(walk(gompertz_sequence(), 21))
     big = records[-1]
     decimal = rat_to_decimal(big.value)
     assert len(str(big.value)) > ELIDE_THRESHOLD
@@ -229,23 +238,23 @@ def test_emit_table_elides_large_rationals():
 
 
 def test_emit_table_digit_override():
-    records = run_convergence(gompertz_sequence(), 1)
+    records = list(walk(gompertz_sequence(), 1))
     table = emit(records, "table", digits=4)
     assert table.splitlines() == ["0 | 1/2 | 0.5000", "1 | 4/7 | 0.5714"]
 
 
 def test_emit_csv():
-    records = run_convergence(gompertz_sequence(), 1)
+    records = list(walk(gompertz_sequence(), 1))
     lines = emit(records, "csv").splitlines()
     assert lines[0] == "n,P,Q,value,gap"
     assert lines[1].startswith("0,1,2,1/2,")
     assert lines[2].startswith("1,4,7,4/7,")
-    fact = emit(run_convergence(factorial_sequence(), 1), "csv")
+    fact = emit(list(walk(factorial_sequence(), 1)), "csv")
     assert fact.splitlines()[1].endswith(",")  # empty gap column
 
 
 def test_emit_json_roundtrip():
-    records = run_convergence(zeta_sequence(2), 3)
+    records = list(walk(zeta_sequence(2), 3))
     text = emit(records, "json")
     rows = json.loads(text)
     assert [row["n"] for row in rows] == [0, 1, 2, 3]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hankel_approx import hankel
-from hankel_approx.driver import emit, run_convergence
+from hankel_approx.driver import emit, walk
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import (
@@ -144,7 +144,7 @@ def test_exact_route_returns_fractions_on_integer_moments(build, write_moments_f
         seq = build()
     values = [x for pair in hankel_sweep(seq, 5) for x in pair]
     values += [hankel_P(seq, 5), hankel_Q(seq, 5)]
-    values += [x for r in run_convergence(seq, 5, "det") for x in (r.P, r.Q, r.value)]
+    values += [x for r in walk(seq, 5, "det") for x in (r.P, r.Q, r.value)]
     assert len(values) == 12 + 2 + 18
     assert {type(x) for x in values} == {Fraction}
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import mpmath
 import pytest
 
-from hankel_approx.driver import run_convergence
+from hankel_approx.driver import walk
 from hankel_approx.moments import gamma_sequence, gompertz_sequence, zeta_sequence
 
 # name -> (sequence, top n, the constant at the working precision)
@@ -30,7 +30,7 @@ def log10_products(seq, top: int, constant) -> list:
     logs = []
     with mpmath.workdps(400):
         c = constant()
-        for r in run_convergence(seq, top):
+        for r in walk(seq, top):
             num, den = r.value.numerator, r.value.denominator
             logs.append(mpmath.log10(den * abs(c - mpmath.mpf(num) / den)))
     return logs

@@ -24,13 +24,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankel_approx import driver, hankel
-from hankel_approx.driver import CHECK_PRIME, run_convergence
+from hankel_approx.driver import CHECK_PRIME, walk
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
 from hankel_approx.hankel import hankel_residues, hankel_sweep
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import ortho_records, skew_rows
+from .conftest import collect, ortho_records, skew_rows
 from .oracles import cofactor_det, hankel_matrix
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
@@ -221,16 +221,15 @@ def walk_run(seq, n_max, route):
     """The (n, P, Q, value) rows of the driver walk by ``route`` ("det" or
     "both"), or of ``ortho_sweep`` read directly ("ortho"), and the n the
     run stopped at or None."""
+    records = []
     try:
-        if route == "ortho":
-            records = ortho_records(seq, n_max)
-        else:
-            records = run_convergence(seq, n_max, route)
+        collect(ortho_records(seq, n_max) if route == "ortho" else walk(seq, n_max, route),
+                records)
         stop = None
     except PositivityViolation as exc:
-        records, stop = exc.records, exc.index
+        stop = exc.index
     except NonPositiveQ as exc:
-        records, stop = exc.records, exc.n
+        stop = exc.n
     return [(r.n, r.P, r.Q, r.value) for r in records], stop
 
 
@@ -277,8 +276,9 @@ def test_default_walk_catches_a_one_entry_change_of_either_route(case, data):
 
     with pytest.MonkeyPatch.context() as mp:
         skew_rows(mp, route, bad_n, change)
+        partial = []
         with pytest.raises(EngineMismatch) as excinfo:
-            run_convergence(seq, n_max)
+            collect(walk(seq, n_max), partial)
     assert excinfo.value.n == bad_n
     assert excinfo.value.modulus == (CHECK_PRIME if bad_n < formed else None)
-    assert [(r.n, r.P, r.Q, r.value) for r in excinfo.value.records] == rows[:bad_n]
+    assert [(r.n, r.P, r.Q, r.value) for r in partial] == rows[:bad_n]
