@@ -11,7 +11,7 @@ import re
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 
-from .driver import FORMATS, METHODS, cross_validate, emit, walk
+from .driver import FORMATS, METHODS, cross_validate, render, walk
 from .errors import (
     EXIT_IO,
     EXIT_POSITIVITY,
@@ -100,17 +100,11 @@ def _exit_stopped(exc: RunStopped):
 def approx(args):
     """Compute approximants P_n/Q_n for n = 0 .. N_MAX."""
     seq = _sequence(args)
-    records, stop = [], None
     try:
-        for record in walk(seq, args.n_max, args.method):
-            records.append(record)
+        for text in render(walk(seq, args.n_max, args.method), args.fmt, args.digits):
+            sys.stdout.write(text)
     except RunStopped as exc:
-        # print the rows before the stop, unless the routes disagree (exit 2)
-        records, stop = ([] if exc.exit_code == EXIT_VALIDATION else records), exc
-    if records:
-        print(emit(records, args.fmt, args.digits))
-    if stop is not None:
-        _exit_stopped(stop)
+        _exit_stopped(exc)
 
 
 def moments(args):

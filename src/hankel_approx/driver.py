@@ -16,7 +16,7 @@ the prime divides the numerators of both differences to the true pair. A
 row the residues cannot form (a pivot or moment denominator that the
 prime divides) and every later one are compared exactly.
 
-``walk`` yields that walk's records, which ``approx`` prints.
+``walk`` yields that walk's records, which ``approx`` prints as they come.
 ``cross_validate`` runs it with exact comparison and returns the check
 lines that ``validate`` prints, as (name, passed, detail) tuples. Both
 take a MomentSequence, which ``cli._sequence`` builds.
@@ -33,7 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
-from .errors import EngineMismatch, NonPositiveQ, PositivityViolation
+from .errors import EngineMismatch, NonPositiveQ, PositivityViolation, RunStopped
 from .exactnum import DEFAULT_DIGITS, format_rational, rat_to_decimal
 from .hankel import hankel_residues, hankel_sweep, residue
 from .moments import MomentSequence
@@ -113,34 +113,45 @@ def _table_cell(value: Fraction) -> str:
     return "-" if len(text) > ELIDE_THRESHOLD else text
 
 
-def emit(records, format: str = "table", digits: int = DEFAULT_DIGITS) -> str:
-    """Render records as table/csv/json text.
+def render(records, format: str = "table", digits: int = DEFAULT_DIGITS):
+    """Yield each record's text, newline included, as table/csv/json.
 
     ``digits`` sets the fractional digits of the decimal column (table and
     json); the table elides long ratios, which csv and json print whole.
+    No rows give no text; a RunStopped from ``records`` is raised again
+    after the rows before it, with a json array closed.
     """
-    if format == "table":
-        lines = [f"{r.n} | {_table_cell(r.value)} | {rat_to_decimal(r.value, digits)}"
-                 for r in records]
-    elif format == "csv":
-        lines = ["n,P,Q,value,gap"] + [
-            f"{r.n},{format_rational(r.P)},{format_rational(r.Q)},{format_rational(r.value)},"
-            + (format_rational(r.gap) if r.gap is not None else "") for r in records]
-    elif format == "json":
-        import json  # here, so that table and csv runs never load it
-
-        return json.dumps([{
-            "n": r.n,
-            "P": format_rational(r.P),
-            "Q": format_rational(r.Q),
-            "value": format_rational(r.value),
-            "decimal": rat_to_decimal(r.value, digits),
-            "gap": format_rational(r.gap) if r.gap is not None else None,
-            "method": r.method,
-        } for r in records], indent=2)
-    else:
+    if format not in FORMATS:
         raise ValueError(f"unknown format: {format!r}")
-    return "\n".join(lines)
+    if format == "json":
+        import json  # here, so that table and csv runs never load it
+    lead, sep = {"csv": ("n,P,Q,value,gap\n", ""), "json": ("[\n", ",\n")}.get(format, ("", ""))
+    stop = None
+    try:
+        for r in records:
+            if format == "table":
+                text = f"{r.n} | {_table_cell(r.value)} | {rat_to_decimal(r.value, digits)}\n"
+            elif format == "csv":
+                text = ",".join([str(r.n), *map(format_rational, (r.P, r.Q, r.value)),
+                                 format_rational(r.gap) if r.gap is not None else ""]) + "\n"
+            else:  # one element of the array, without its "[\n" and "\n]"
+                text = json.dumps([{
+                    "n": r.n,
+                    "P": format_rational(r.P),
+                    "Q": format_rational(r.Q),
+                    "value": format_rational(r.value),
+                    "decimal": rat_to_decimal(r.value, digits),
+                    "gap": format_rational(r.gap) if r.gap is not None else None,
+                    "method": r.method,
+                }], indent=2)[2:-2]
+            yield lead + text
+            lead = sep
+    except RunStopped as exc:  # not a finally: a generator closed early must not yield
+        stop = exc
+    if lead == ",\n":  # close the json array that a row opened
+        yield "\n]\n"
+    if stop is not None:
+        raise stop
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ factorial family's approximants are checked against harmonic numbers, so
 agreement is evidence rather than tautology. The recurrence's
 polynomials are rebuilt from its coefficients and paired by the defining
 double sum, so its orthogonality is checked outside the moment table.
-``records_from_json`` reads ``emit``'s JSON output back for round-trip
+``records_from_json`` reads ``render``'s JSON output back for round-trip
 tests.
 """
 
@@ -93,7 +93,7 @@ def polynomials(recurrence) -> list[tuple]:
 
 
 def records_from_json(text: str) -> list:
-    """Rebuild ApproximantRecords from emit(..., format="json") output."""
+    """Rebuild ApproximantRecords from the joined render(..., "json") output."""
     return [
         ApproximantRecord(
             n=row["n"],

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
 import os
 import subprocess
@@ -10,16 +13,21 @@ from pathlib import Path
 import pytest
 
 import hankel_approx
-from hankel_approx import driver, hankel
+from hankel_approx import cli, driver, hankel
 from hankel_approx.cli import FAMILIES, MAX_DIGITS
-from hankel_approx.driver import CHECK_PRIME, emit
+from hankel_approx.driver import CHECK_PRIME, render
 from hankel_approx.errors import PositivityViolation
 from hankel_approx.hankel import hankel_residues
 from hankel_approx.moments import load_moments
 
 from .conftest import collect, ortho_records, record_eliminations, run_cli
-from .golden_values import GOMPERTZ_ROWS
+from .golden_values import GAMMA_ROWS, GOMPERTZ_ROWS
 from .oracles import records_from_json
+
+
+def gompertz_table(rows: int) -> str:
+    """Gompertz rows 0 .. rows - 1 as approx prints them by default."""
+    return "".join(f"{n} | {GOMPERTZ_ROWS[n][0]} | {GOMPERTZ_ROWS[n][1]}\n" for n in range(rows))
 
 
 def test_approx_table():
@@ -58,6 +66,59 @@ def test_approx_json_roundtrips():
     records = records_from_json(res.stdout)
     assert [str(r.value) for r in records] == ["1", "3/2", "11/6", "25/12"]
     assert all(r.gap is None for r in records)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_approx_writes_each_row_before_it_computes_the_next(monkeypatch, fmt):
+    # A spy on the walk reads stdout each time the walk hands over a row:
+    # when row k comes, rows 0 .. k - 1 are already written.
+    stdout, seen, walk = io.StringIO(), [], cli.walk
+
+    def spy(*args):
+        for record in walk(*args):
+            seen.append(stdout.getvalue())
+            yield record
+
+    monkeypatch.setattr(cli, "walk", spy)
+    with contextlib.redirect_stdout(stdout):
+        cli.main(["approx", "--family", "gompertz", "--n-max", "4", "--format", fmt])
+    rows = {"table": lambda text: text.count("\n"),
+            "csv": lambda text: max(text.count("\n") - 1, 0),  # less the header
+            "json": lambda text: text.count('"n": ')}[fmt]
+    assert [rows(text) for text in seen] == [0, 1, 2, 3, 4]
+    assert all(stdout.getvalue().startswith(text) for text in seen)
+
+
+def test_closed_pipe_stops_the_walk_at_the_first_write(monkeypatch, tmp_path):
+    # A stdout whose first write fails as a closed pipe does: approx exits 4
+    # without computing the remaining rows. main points the stdout's file
+    # descriptor at os.devnull, so it gets one of its own.
+    yielded, walk = [], cli.walk
+
+    def counting(*args):
+        for record in walk(*args):
+            yielded.append(record.n)
+            yield record
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(cli, "walk", counting)
+    stderr = io.StringIO()
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(stderr):
+            with pytest.raises(SystemExit) as stop:
+                cli.main(["approx", "--family", "gompertz", "--n-max", "30"])
+    finally:
+        os.close(fd)
+    assert stop.value.code == 4
+    assert stderr.getvalue() == "error: stdout was closed before the output was complete\n"
+    assert 1 <= len(yielded) <= 2
 
 
 def test_approx_exact_flag():
@@ -281,7 +342,7 @@ def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
     partial = []
     with pytest.raises(PositivityViolation):
         collect(ortho_records(load_moments(path), 8), partial)
-    ortho = emit(partial, "csv") + "\n"
+    ortho = "".join(render(partial, "csv"))
     assert [res.exit_code for res in runs.values()] == [3, 3, 3]
     assert runs["det"].stdout == runs["both"].stdout == runs[None].stdout == ortho
     assert [line.split(",")[0] for line in runs["det"].stdout.splitlines()[1:]] == [
@@ -497,7 +558,7 @@ def test_approx_reports_mismatch_with_equal_ratios(skew_residues):
     skew_residues(1, lambda P, Q: (2 * P % CHECK_PRIME, 2 * Q % CHECK_PRIME))
     res = run_cli(["approx", "--family", "gompertz", "--n-max", "2"])
     assert res.exit_code == 2
-    assert res.stdout == ""
+    assert res.stdout == gompertz_table(1)  # row 0, on which both routes agree
     assert res.stderr == (
         "error: engines disagree at n=1: determinant path (P_n, Q_n) = (8, 14), "
         "recurrence path (A_n N_n, N_n) = (4, 7), both mod 2305843009213693951\n")
@@ -543,21 +604,24 @@ def test_validate_reports_lost_orthogonality(skewed_alpha_1):
 def test_approx_reports_lost_orthogonality(skewed_alpha_1):
     res = run_cli(["approx", "--family", "gompertz", "--n-max", "4"])
     assert res.exit_code == 2
-    assert res.stdout == ""
+    assert res.stdout == gompertz_table(2)  # rows 0 and 1, before the stop at degree 2
     assert res.stderr == "error: orthogonality lost: <q_2, q_1> = -7/2\n"
 
 
 @pytest.mark.parametrize("stop", ["mismatch", "orthogonality"])
 def test_long_stop_values_are_cut_short(monkeypatch, skew_sweep, skew_alpha, stop):
     # On gamma the exact pairs and residuals run to hundreds of digits by
-    # n = 8; each is cut as a moment file's tokens are.
+    # n = 8; each is cut as a moment file's tokens are. The rows before the
+    # stop are printed, as for every stop.
     if stop == "mismatch":
         monkeypatch.setattr(driver, "hankel_residues", lambda *args: iter(()))  # all exact
         skew_sweep(8, lambda P, Q: (2 * P, Q))
     else:
         skew_alpha(6)  # <q_7, q_6> = -t_6
     res = run_cli(["approx", "--family", "gamma", "--n-max", "9"])
-    assert (res.exit_code, res.stdout) == (2, "")
+    rows = 8 if stop == "mismatch" else 7
+    assert (res.exit_code, res.stdout) == (2, "".join(
+        f"{n} | {GAMMA_ROWS[n][0] or '-'} | {GAMMA_ROWS[n][1]}\n" for n in range(rows)))
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert len(res.stderr) - 1 <= 300
 

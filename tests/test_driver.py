@@ -11,7 +11,7 @@ from hankel_approx.driver import (
     ELIDE_THRESHOLD,
     ApproximantRecord,
     cross_validate,
-    emit,
+    render,
     walk,
 )
 from hankel_approx.errors import (
@@ -231,43 +231,71 @@ def test_emit_table_elides_large_rationals():
     big = records[-1]
     decimal = rat_to_decimal(big.value)
     assert len(str(big.value)) > ELIDE_THRESHOLD
-    table = emit(records, "table")
+    table = "".join(render(records, "table"))
     assert f"21 | - | {decimal}" in table.splitlines()
     assert str(big.value) == "714785218276618032951940/1198605668577020653881647"
-    assert json.loads(emit(records, "json"))[21]["value"] == str(big.value)
+    assert json.loads("".join(render(records, "json")))[21]["value"] == str(big.value)
 
 
 def test_emit_table_digit_override():
     records = list(walk(gompertz_sequence(), 1))
-    table = emit(records, "table", digits=4)
+    table = "".join(render(records, "table", digits=4))
     assert table.splitlines() == ["0 | 1/2 | 0.5000", "1 | 4/7 | 0.5714"]
 
 
 def test_emit_csv():
     records = list(walk(gompertz_sequence(), 1))
-    lines = emit(records, "csv").splitlines()
+    lines = "".join(render(records, "csv")).splitlines()
     assert lines[0] == "n,P,Q,value,gap"
     assert lines[1].startswith("0,1,2,1/2,")
     assert lines[2].startswith("1,4,7,4/7,")
-    fact = emit(list(walk(factorial_sequence(), 1)), "csv")
+    fact = "".join(render(walk(factorial_sequence(), 1), "csv"))
     assert fact.splitlines()[1].endswith(",")  # empty gap column
 
 
 def test_emit_json_roundtrip():
     records = list(walk(zeta_sequence(2), 3))
-    text = emit(records, "json")
+    text = "".join(render(records, "json"))
     rows = json.loads(text)
     assert [row["n"] for row in rows] == [0, 1, 2, 3]
     assert rows[1]["value"] == "135/89"
     assert [row["decimal"] for row in rows] == [rat_to_decimal(r.value) for r in records]
-    assert json.loads(emit(records, "json", digits=3))[1]["decimal"] == "1.517"
+    assert json.loads("".join(render(records, "json", digits=3)))[1]["decimal"] == "1.517"
     assert all(isinstance(back, ApproximantRecord) for back in records_from_json(text))
     assert records_from_json(text) == records
 
 
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
-        emit([], "xml")
+        list(render([], "xml"))
+
+
+def json_document(records) -> str:
+    """What json.dumps prints for records as rows of the JSON format, and a
+    newline: the text the json renderer must give, piece by piece."""
+    return json.dumps([{
+        "n": r.n, "P": str(Fraction(r.P)), "Q": str(Fraction(r.Q)), "value": str(r.value),
+        "decimal": rat_to_decimal(r.value), "gap": None if r.gap is None else str(r.gap),
+        "method": r.method} for r in records], indent=2) + "\n"
+
+
+def test_render_json_is_json_dumps_one_element_at_a_time():
+    records = list(walk(gompertz_sequence(), 21))
+    for count in (0, 1, 2, 22):
+        pieces = list(render(records[:count], "json"))
+        assert len(pieces) == (count + 1 if count else 0)  # one per row, then "]"
+        assert "".join(pieces) == (json_document(records[:count]) if count else "")
+
+    def stopped():
+        yield from records[:3]
+        raise NonPositiveQ(3, -1)
+
+    pieces = []
+    with pytest.raises(NonPositiveQ):
+        collect(render(stopped(), "json"), pieces)
+    text = "".join(pieces)
+    assert text == json_document(records[:3])  # the array closed before the stop
+    assert [row["n"] for row in json.loads(text)] == [0, 1, 2]
 
 
 def test_cross_validate_builtin_passes():

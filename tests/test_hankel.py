@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hankel_approx import hankel
-from hankel_approx.driver import emit, walk
+from hankel_approx.driver import render, walk
 from hankel_approx.errors import NonPositiveQ
 from hankel_approx.hankel import hankel_P, hankel_Q, hankel_sweep
 from hankel_approx.moments import (
@@ -128,7 +128,7 @@ def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_fi
         "approx", "--family", "custom", "--moments-file", str(path),
         "--n-max", "5", "--method", "det", "--format", "csv"])
     assert res.exit_code == 0
-    outputs = [res.stdout, emit(ortho_records(load_moments(path), 5), "csv") + "\n"]
+    outputs = [res.stdout, "".join(render(ortho_records(load_moments(path), 5), "csv"))]
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 7
 
