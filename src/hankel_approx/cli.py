@@ -103,6 +103,7 @@ def approx(args):
     try:
         for text in render(walk(seq, args.n_max, args.method), args.fmt, args.digits):
             sys.stdout.write(text)
+            sys.stdout.flush()  # a pipe or file is block-buffered: send each row now
     except RunStopped as exc:
         _exit_stopped(exc)
 

@@ -1,24 +1,25 @@
 """Exact moment sequences a_n = L(e_n) for the built-in linear functionals.
 
-Four families ship with the package, each given by a closed-form sum that
-evaluates to an exact rational (the defining integrals are used only as
-independent oracles in the test suite):
+Four families ship with the package, each an exact rational sequence (the
+defining integrals are used only as independent oracles in the test suite):
 
-* ``gamma``     -- target Euler-Mascheroni constant;
+* ``gamma``     -- target Euler-Mascheroni constant, by the closed form
                    a_n = (n-1)! * sum_{i=0..n} C(n,i) (-1)^i (n-2i-1)/(i+1)^(n+1)
-* ``gompertz``  -- target Euler-Gompertz constant;
-                   a_n = sum_{i=0..n-1} (n-1)!/i!, always an integer
-* ``zeta``      -- target zeta(k), k >= 2;
+* ``gompertz``  -- target Euler-Gompertz constant, by the recurrence
+                   a_1 = 1, a_{n+1} = n a_n + 1 (integration by parts)
+* ``zeta``      -- target zeta(k), k >= 2, by the closed form
                    a_n = sum_{i=0..n-1} C(n-1,i) (-1)^i/(i+1)^k
-* ``factorial`` -- a_n = (n-1)!; a deliberate counterexample whose
-                   approximants follow the harmonic numbers and diverge
+* ``factorial`` -- a_1 = 1, a_{n+1} = n a_n, so a_n = (n-1)!; a deliberate
+                   counterexample whose approximants follow the harmonic
+                   numbers and diverge
 
 Index 0 is never produced here: downstream consumers substitute a_0 = 0 by
-construction. A ``MomentSequence`` keeps one list of the moments known so
-far, which grows on demand for a built-in family and is fixed for a custom
-one read from a small JSON file (see ``load_moments``); nothing is assumed
-about its positive definiteness, which the recurrence engine discovers and
-reports at runtime. ``cli._sequence`` maps family names to these builders.
+construction. A ``MomentSequence`` reads its values on demand into one list
+of the moments known so far: an endless generator for a built-in family, the
+list of a custom one read from a small JSON file (see ``load_moments``);
+nothing is assumed about its positive definiteness, which the recurrence
+engine discovers and reports at runtime. ``cli._sequence`` maps family names
+to these builders.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, factorial
 
 from .errors import IndexOutOfRange, ParseError
@@ -62,13 +64,6 @@ def gamma_moment(n: int) -> Fraction:
     return factorial(n - 1) * total
 
 
-def gompertz_moment(n: int) -> Fraction:
-    """sum_{i=0..n-1} (n-1)!/i!, an integer for every n >= 1."""
-    _check_index(n)
-    f = factorial(n - 1)
-    return Fraction(sum(f // factorial(i) for i in range(n)))
-
-
 def zeta_moment(k: int, n: int) -> Fraction:
     """sum_{i=0..n-1} C(n-1,i) (-1)^i / (i+1)^k for k >= 2."""
     if k < 2:
@@ -81,64 +76,65 @@ def zeta_moment(k: int, n: int) -> Fraction:
     return total
 
 
-def factorial_moment(n: int) -> Fraction:
-    """(n-1)!."""
-    _check_index(n)
-    return Fraction(factorial(n - 1))
-
-
 class MomentSequence:
     """Named provider of exact moments a_n = L(e_n) for n >= 1.
 
-    One list holds the moments known so far, a_1 first: a custom file's
-    fixed ``values``, or a built-in family's, which ``fn`` (n -> a_n)
-    extends on demand. Without ``fn``, a moment past the end of the list
-    raises IndexOutOfRange. ``reference`` optionally holds the target
-    constant's decimal string.
+    ``values`` is any iterable of a_1, a_2, ...: a custom file's list, or a
+    built-in family's endless generator. It is read on demand into one list
+    of the moments known so far; a moment past its end raises
+    IndexOutOfRange. ``reference`` optionally holds the target constant's
+    decimal string.
     """
 
-    def __init__(self, name: str, *, fn=None, values=(),
-                 reference: str | None = None):
+    def __init__(self, name: str, values, reference: str | None = None):
         self.name = name
-        self._fn = fn
-        self._known: list[Fraction] = list(values)
+        self._values = iter(values)
+        self._known: list[Fraction] = []
         self.reference = (
             ReferenceConstant(reference) if reference is not None else None
         )
 
     def moment(self, n: int) -> Fraction:
         _check_index(n)
-        while len(self._known) < n:
-            if self._fn is None:
-                raise IndexOutOfRange(n, len(self._known))
-            self._known.append(self._fn(len(self._known) + 1))
-        return self._known[n - 1]
+        known = self._known
+        if len(known) < n:
+            known.extend(islice(self._values, n - len(known)))
+            if len(known) < n:
+                raise IndexOutOfRange(n, len(known))
+        return known[n - 1]
 
     def moments(self, count: int) -> list[Fraction]:
         """The first `count` moments a_1 .. a_count."""
         return [self.moment(n) for n in range(1, count + 1)]
 
 
+def _by_parts(c: int):
+    """a_1 = 1 and a_{n+1} = n a_n + c, without end."""
+    a = 1
+    for n in count(1):
+        yield Fraction(a)
+        a = n * a + c
+
+
 def gamma_sequence() -> MomentSequence:
-    return MomentSequence("gamma", fn=gamma_moment,
-                          reference=REFERENCE_DECIMALS["gamma"])
+    return MomentSequence("gamma", map(gamma_moment, count(1)),
+                          REFERENCE_DECIMALS["gamma"])
 
 
 def gompertz_sequence() -> MomentSequence:
-    return MomentSequence("gompertz", fn=gompertz_moment,
-                          reference=REFERENCE_DECIMALS["gompertz"])
+    return MomentSequence("gompertz", _by_parts(1), REFERENCE_DECIMALS["gompertz"])
 
 
 def zeta_sequence(k: int) -> MomentSequence:
     if k < 2:
         raise ValueError(f"zeta requires k >= 2, got {k}")
-    return MomentSequence(f"zeta({k})", fn=lambda n: zeta_moment(k, n),
-                          reference=REFERENCE_DECIMALS.get(("zeta", k)))
+    return MomentSequence(f"zeta({k})", (zeta_moment(k, n) for n in count(1)),
+                          REFERENCE_DECIMALS.get(("zeta", k)))
 
 
 def factorial_sequence() -> MomentSequence:
     # No reference: the approximants of this family do not converge.
-    return MomentSequence("factorial", fn=factorial_moment)
+    return MomentSequence("factorial", _by_parts(0))
 
 
 def _position_of(raw: str, token: str) -> tuple[int | None, int | None]:
@@ -227,4 +223,4 @@ def load_moments(path) -> MomentSequence:
             line, column = _position_of(raw, reference)
             raise ParseError(f"reference: {exc}", line=line, column=column) from exc
         reference = reference.strip()  # as parse_decimal reads it; validate counts its digits
-    return MomentSequence(name, values=values, reference=reference)
+    return MomentSequence(name, values, reference)

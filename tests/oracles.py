@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the package's own elimination and
 summation code: the determinant oracle is plain cofactor expansion, and
-the Hankel matrices it expands are built here too; the moment oracles are numerical quadrature, and the
+the Hankel matrices it expands are built here too; the moment oracles are
+numerical quadrature, and the closed forms of the gompertz and factorial
+moments, which the package generates by their recurrences instead. The
 factorial family's approximants are checked against harmonic numbers, so
 agreement is evidence rather than tautology. The recurrence's
 polynomials are rebuilt from its coefficients and paired by the defining
@@ -105,6 +107,17 @@ def records_from_json(text: str) -> list:
         )
         for row in json.loads(text)
     ]
+
+
+def gompertz_moment(n: int) -> Fraction:
+    """sum_{i=0..n-1} (n-1)!/i!, an integer for every n >= 1."""
+    f = math.factorial(n - 1)
+    return Fraction(sum(f // math.factorial(i) for i in range(n)))
+
+
+def factorial_moment(n: int) -> Fraction:
+    """(n-1)!."""
+    return Fraction(math.factorial(n - 1))
 
 
 def gamma_moment_quad(n: int) -> tuple[float, float]:

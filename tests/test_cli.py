@@ -89,6 +89,27 @@ def test_approx_writes_each_row_before_it_computes_the_next(monkeypatch, fmt):
     assert all(stdout.getvalue().startswith(text) for text in seen)
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_approx_flushes_each_row_it_writes(fmt):
+    # Through a pipe or into a file stdout is block-buffered, so a row that
+    # is written but not flushed would not stream.
+    calls = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            calls.append("write")
+            return super().write(text)
+
+        def flush(self):
+            calls.append("flush")
+            super().flush()
+
+    with contextlib.redirect_stdout(Recording()):
+        cli.main(["approx", "--family", "gompertz", "--n-max", "4", "--format", fmt])
+    assert calls.count("write") >= 5
+    assert all(calls[i + 1] == "flush" for i, call in enumerate(calls) if call == "write")
+
+
 def test_closed_pipe_stops_the_walk_at_the_first_write(monkeypatch, tmp_path):
     # A stdout whose first write fails as a closed pipe does: approx exits 4
     # without computing the remaining rows. main points the stdout's file

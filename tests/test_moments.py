@@ -9,18 +9,22 @@ from hankel_approx.exactnum import MAX_DIGITS
 from hankel_approx.moments import (
     MomentSequence,
     ReferenceConstant,
-    factorial_moment,
     factorial_sequence,
     gamma_moment,
     gamma_sequence,
-    gompertz_moment,
     gompertz_sequence,
     load_moments,
     zeta_moment,
     zeta_sequence,
 )
 
-from .oracles import gamma_moment_quad, gompertz_moment_quad, zeta_moment_quad
+from .oracles import (
+    factorial_moment,
+    gamma_moment_quad,
+    gompertz_moment,
+    gompertz_moment_quad,
+    zeta_moment_quad,
+)
 
 
 def test_gamma_first_moments():
@@ -33,7 +37,8 @@ def test_gompertz_first_moments():
 
 
 def test_gompertz_recurrence():
-    # a_{n+1} = n a_n + 1 is an independent restatement of the closed form.
+    # a_{n+1} = n a_n + 1, which the package generates from, is an
+    # independent restatement of the closed form.
     for n in range(1, 30):
         assert gompertz_moment(n + 1) == n * gompertz_moment(n) + 1
 
@@ -48,7 +53,14 @@ def test_factorial_moments():
     assert [factorial_moment(n) for n in range(1, 6)] == [1, 1, 2, 6, 24]
 
 
-@pytest.mark.parametrize("fn", [gamma_moment, gompertz_moment, factorial_moment])
+def test_recurrences_match_the_closed_forms():
+    assert gompertz_sequence().moments(120) == [gompertz_moment(n) for n in range(1, 121)]
+    assert factorial_sequence().moments(120) == [factorial_moment(n) for n in range(1, 121)]
+
+
+@pytest.mark.parametrize("fn", [gamma_moment, lambda n: gompertz_sequence().moment(n),
+                                lambda n: factorial_sequence().moment(n)],
+                         ids=["gamma_moment", "gompertz_sequence", "factorial_sequence"])
 def test_moment_index_lower_bound(fn):
     with pytest.raises(ValueError):
         fn(0)
@@ -72,7 +84,7 @@ def test_gamma_moments_match_quadrature():
 def test_gompertz_moments_match_quadrature():
     for n in range(1, 7):
         value, err = gompertz_moment_quad(n)
-        assert abs(float(gompertz_moment(n)) - value) <= max(1e-9, 10 * err)
+        assert abs(float(gompertz_sequence().moment(n)) - value) <= max(1e-9, 10 * err)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -99,6 +111,17 @@ def test_fixed_sequence_bounds():
     assert excinfo.value.available == 3
     with pytest.raises(ValueError):
         seq.moment(0)
+
+
+def test_sequence_over_a_finite_generator_runs_out():
+    seq = MomentSequence("short", (Fraction(n) for n in range(1, 4)))
+    assert seq.moments(2) == [1, 2]
+    for _ in range(2):  # the exhausted generator gives the same error again
+        with pytest.raises(IndexOutOfRange) as excinfo:
+            seq.moment(5)
+        assert excinfo.value.requested == 5
+        assert excinfo.value.available == 3
+    assert seq.moments(3) == [1, 2, 3]
 
 
 def test_references():
