@@ -175,8 +175,9 @@ def cross_validate(seq: MomentSequence, n_max: int) -> list[tuple[str, bool, str
     try:
         records = list(walk(seq, n_max, exact=True))
     except PositivityViolation as exc:
+        positive = f"positive through {exc.index - 1}" if exc.index else "positive at no degree"
         return [("positive-definite", False,
-                 f"squared norm fails at degree {exc.index}; positive through {exc.index - 1}")]
+                 f"squared norm fails at degree {exc.index}; {positive}")]
     except NonPositiveQ as exc:
         return [("positive-Q", False, str(exc))]
     except EngineMismatch as exc:

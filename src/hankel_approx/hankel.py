@@ -19,9 +19,10 @@ ends with Q_n = H^(2)_{n+1} and -P_n = H^(0)_{n+2}. That is O(n) new
 entries per step, O(N^2) for a sweep.
 
 The divisor H^(k+2)_{m-1} can be zero for a custom sequence (the odd
-moments of a symmetric measure vanish, for one). From the row the table
-cannot finish on, the sweep takes its rows from a bordered elimination:
-with row and column 0 of P_n's matrix moved last, P_n = -det M_n for
+moments of a symmetric measure vanish, for one). At the first zero divisor
+the table hands over to a bordered elimination, which gives that row and
+every later one: with row and column 0 of P_n's matrix moved last,
+P_n = -det M_n for
 
     M_n = [[H_n, b_n], [b_n^T, 0]],   H_n = (a_{i+j+2})_{i,j<=n},  b_n = (a_1 .. a_{n+1}),
 
@@ -54,9 +55,9 @@ def _condense(moment, divide, n_max: int) -> Iterator[tuple]:
     """Yield (-H^(0)_{n+2}, H^(2)_{n+1}) for n = 0, 1, ... up to n_max.
 
     ``moment(j)`` gives a_j and ``divide`` the quotient of two entries, in
-    whichever arithmetic the caller works. The table stops before the
-    first row it cannot finish: at a zero divisor, or at a moment that
-    ``moment`` gives as None.
+    whichever arithmetic the caller works. A moment given as None ends the
+    rows; at a zero divisor the rest, from the row the table cannot
+    finish, come from ``_eliminate``.
     """
     older, old = None, [1, 0]  # anti-diagonals j - 2 and j - 1; a_0 = 0
     for n in range(n_max + 1):
@@ -66,6 +67,7 @@ def _condense(moment, divide, n_max: int) -> Iterator[tuple]:
                 return
             for m in range(1, j // 2 + 1):
                 if older[m - 1] == 0:
+                    yield from islice(_eliminate(moment, divide, n_max), n, None)
                     return
                 diagonal.append(divide(older[m] * diagonal[m] - old[m] ** 2, older[m - 1]))
             older, old = old, diagonal
@@ -106,16 +108,6 @@ def _eliminate(moment, divide, n_max: int) -> Iterator[tuple]:
             return
 
 
-def _rows(moment, divide, n_max: int) -> Iterator[tuple]:
-    """The table's rows, then the elimination's from the first it cannot finish."""
-    done = 0
-    for row in _condense(moment, divide, n_max):
-        yield row
-        done += 1
-    if done <= n_max:
-        yield from islice(_eliminate(moment, divide, n_max), done, None)
-
-
 def _whole(x: Fraction) -> int | Fraction:
     """The moment x as an int when it is one."""
     return x.numerator if x.denominator == 1 else x
@@ -137,7 +129,7 @@ def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fr
     NonPositiveQ after both reads. Integral entries stay ints inside the
     rows; each pair leaves as Fractions, since int / int would be a float.
     """
-    for n, (P, Q) in enumerate(_rows(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
+    for n, (P, Q) in enumerate(_condense(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
         P, Q = Fraction(P), Fraction(Q)
         if Q <= 0:
             raise NonPositiveQ(n, Q)
@@ -178,6 +170,6 @@ def hankel_residues(seq: MomentSequence, n_max: int, p: int) -> Iterator[tuple[i
     They stop before a moment whose denominator p divides and after a pivot
     Q_n that p divides; residues carry no sign, so Q_n is not checked.
     """
-    for P, Q in _rows(lambda j: residue(seq.moment(j), p),
-                      lambda x, d: x * pow(d, -1, p) % p, n_max):
+    for P, Q in _condense(lambda j: residue(seq.moment(j), p),
+                          lambda x, d: x * pow(d, -1, p) % p, n_max):
         yield P % p, Q

@@ -53,8 +53,11 @@ B = w C/(z d_{k-1}), row k+1 is
 
 reduced by one gcd of C and every M_i. (Left in, f would ride along in
 C and in every product, only for that gcd to divide it back out.)
-Row -1 is zero (q_{-1} = 0), and s_{k+1} = sigma_{k,0} - alpha_k s_k -
-beta_k s_{k-1}, where sigma_{k,0} is a_2 for k = 0 and 0 after it.
+Row -1 is an ordinary row: zero entries (q_{-1} = 0) over d_{-1} = 1,
+t_{-1} = 1 (the empty product of norms) and r_{-1} = 0, which give
+alpha_0 = r_0 and the convention beta_0 = t_0. Then s_{k+1} =
+sigma_{k,0} - alpha_k s_k - beta_k s_{k-1}, with s_{-1} = 0 and
+sigma_{k,0} = a_2 for k = 0 and 0 after it.
 
 Orthogonality makes sigma_{k+1,l} = 0 for 0 <= l <= k. Only l = k - 1 and
 l = k are checked, in that order: over C they are A v N_k[0] - B N_{k-1}[0]
@@ -87,8 +90,6 @@ from .moments import MomentSequence
 def _coefficients(row: tuple, prev: tuple, k: int) -> tuple:
     """(alpha_k, beta_k) read off rows k and k-1, each (numerators,
     denominator, t_k, sigma_{k,k+1}/t_k)."""
-    if k == 0:  # beta_0 = t_0 by convention: it multiplies q_{-1} = 0
-        return row[3], row[2]
     return row[3] - prev[3], row[2] / prev[2]
 
 
@@ -104,16 +105,16 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
     except IndexOutOfRange as exc:
         short = exc
     d = lcm(*(a.denominator for a in moments[1:]))
-    row = [a.numerator * (d // a.denominator) for a in moments[1:]], d
-    prev = [0] * len(row[0]), 1  # row -1: q_{-1} = 0
+    N = [a.numerator * (d // a.denominator) for a in moments[1:]]
+    row = [0] * len(N), 1, 1, 0  # row -1: q_{-1} = 0, t_{-1} = 1, r_{-1} = 0
     s, s_prev = moments[0] if moments else None, 0
     partial_sum, norm = Fraction(0), Fraction(1)
     for n in range(n_max + 1):
         if n:
-            if len(row[0]) < 2:  # alpha_{n-1} needs a_{2n+1}
+            if len(N) < 2:  # alpha_{n-1} needs a_{2n+1}
                 raise short
             alpha, beta = _coefficients(row, prev, n - 1)
-            (N, d, *_), (M, e, *_) = row, prev
+            M, e = prev[:2]
             f = gcd(beta.numerator, e)
             X, Y = alpha.denominator * d, beta.denominator * (e // f)
             h = gcd(X, Y)
@@ -125,15 +126,14 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
                     raise OrthogonalityLost(n, l, Fraction(value, C))
             nxt = [Av * N[i + 2] - Au * N[i + 1] - B * M[i + 2] for i in range(len(N) - 2)]
             g = gcd(C, *nxt)
-            prev, row = row, ([x // g for x in nxt], C // g)
+            N, d = [x // g for x in nxt], C // g
             s, s_prev = (moments[1] if n == 1 else 0) - alpha * s - beta * s_prev, s
-        N, d = row
         if not N:  # t_n needs a_{2n+2}
             raise short
         t_n = Fraction(N[0], d)
         if t_n <= 0:
             raise PositivityViolation(n, t_n)
-        row = N, d, t_n, Fraction(N[1], N[0]) if len(N) > 1 else None
+        prev, row = row, (N, d, t_n, Fraction(N[1], N[0]) if len(N) > 1 else None)
         partial_sum += s ** 2 / t_n
         norm *= t_n
         yield partial_sum * norm, norm

@@ -47,7 +47,7 @@ def workloads():
 @pytest.mark.parametrize("factory, n_max", [
     ("gamma_both", 3), ("factorial_det", 5), ("measure_ortho", 4),
     # the sizes the benchmark runs
-    ("gamma_both", 13), ("measure_ortho", 15)])
+    ("gamma_both", 13), ("factorial_det", 35), ("measure_ortho", 15)])
 def test_benchmark_workload_passes_its_own_check(workloads, tmp_path, factory, n_max):
     workload = getattr(workloads, factory)(n_max=n_max)
     res = run_cli(workload.prepare(1, tmp_path))

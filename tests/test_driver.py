@@ -330,6 +330,10 @@ def test_cross_validate_reports_violation(write_moments_file):
     checks = cross_validate(load_moments(path), 2)
     assert checks == [("positive-definite", False,
                        "squared norm fails at degree 1; positive through 0")]
+    path = write_moments_file("z", ["1", "0"])
+    checks = cross_validate(load_moments(path), 0)
+    assert checks == [("positive-definite", False,
+                       "squared norm fails at degree 0; positive at no degree")]
 
 
 def test_cross_validate_passes_inside_the_last_reference_digit():

@@ -133,6 +133,23 @@ def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_fi
     assert len(outputs[0].splitlines()) == 7
 
 
+def test_residues_stop_at_a_moment_the_prime_cannot_reduce(monkeypatch):
+    # The check prime p divides the denominator of a_5 + 1/p, so the
+    # residues end before row 2, which needs a_5, and start no elimination
+    # to find that out; the walk compares rows 2 .. 5 exactly instead.
+    p = 2**61 - 1
+    gompertz = gompertz_sequence()
+    a = [gompertz.moment(j) for j in range(1, 13)]
+    a[4] += Fraction(1, p)
+    seq = MomentSequence("bumped", values=a)
+    calls = record_eliminations(monkeypatch)
+    assert len(list(hankel.hankel_residues(seq, 5, p))) == 2
+    assert calls == []
+    rows = [r[:4] for r in walk(seq, 5)]
+    assert rows == [r[:4] for r in ortho_records(seq, 5)]
+    assert len(rows) == 6
+
+
 @pytest.mark.parametrize("build", [factorial_sequence, gompertz_sequence, None],
                          ids=["factorial", "gompertz", "custom"])
 def test_exact_route_returns_fractions_on_integer_moments(build, write_moments_file):
