@@ -1,9 +1,9 @@
 """Exact rational text: parsing, formatting, and decimal rendering.
 
-Every value in the computational core is an arbitrary-precision rational
-(``fractions.Fraction``): always in lowest terms, denominator positive,
-zero canonicalized to 0/1. No floating point enters any computation;
-Hankel determinants are far too ill-conditioned for that.
+Every value that the package returns or prints is an arbitrary-precision
+rational (``fractions.Fraction``) in lowest terms; the tables inside the
+two routes hold ints. No floating point enters any computation; Hankel
+determinants are far too ill-conditioned for that.
 
 Rational text grammar (CLI output and moment files): optional ``-``, a
 digit string, optionally ``/`` followed by a digit string denoting a

@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import IndexOutOfRange, ParseError
 from .exactnum import MAX_DIGITS, parse_decimal, parse_rational
@@ -54,14 +54,17 @@ def _check_index(n: int) -> None:
         raise ValueError(f"moments are defined for n >= 1, got {n}")
 
 
+def _alternating_sum(weights: list[int], s: int) -> Fraction:
+    """sum_i (-1)^i weights[i] / (i+1)^s over one denominator, lcm(1..len(weights))^s."""
+    d = lcm(*range(1, len(weights) + 1)) ** s
+    return Fraction(sum((-1) ** i * w * (d // (i + 1) ** s) for i, w in enumerate(weights)), d)
+
+
 def gamma_moment(n: int) -> Fraction:
     """(n-1)! * sum_{i=0..n} C(n,i) (-1)^i (n-2i-1) / (i+1)^(n+1)."""
     _check_index(n)
-    total = Fraction(0)
-    for i in range(n + 1):
-        term = Fraction(comb(n, i) * (n - 2 * i - 1), (i + 1) ** (n + 1))
-        total += -term if i % 2 else term
-    return factorial(n - 1) * total
+    return factorial(n - 1) * _alternating_sum(
+        [comb(n, i) * (n - 2 * i - 1) for i in range(n + 1)], n + 1)
 
 
 def zeta_moment(k: int, n: int) -> Fraction:
@@ -69,11 +72,7 @@ def zeta_moment(k: int, n: int) -> Fraction:
     if k < 2:
         raise ValueError(f"zeta moments require k >= 2, got {k}")
     _check_index(n)
-    total = Fraction(0)
-    for i in range(n):
-        term = Fraction(comb(n - 1, i), (i + 1) ** k)
-        total += -term if i % 2 else term
-    return total
+    return _alternating_sum([comb(n - 1, i) for i in range(n)], k)
 
 
 class MomentSequence:

@@ -3,14 +3,15 @@
 The oracles deliberately avoid the package's own elimination and
 summation code: the determinant oracle is plain cofactor expansion, and
 the Hankel matrices it expands are built here too; the moment oracles are
-numerical quadrature, and the closed forms of the gompertz and factorial
-moments, which the package generates by their recurrences instead. The
-factorial family's approximants are checked against harmonic numbers, so
-agreement is evidence rather than tautology. The recurrence's
-polynomials are rebuilt from its coefficients and paired by the defining
-double sum, so its orthogonality is checked outside the moment table.
-``records_from_json`` reads ``render``'s JSON output back for round-trip
-tests.
+numerical quadrature, the closed forms of the gompertz and factorial
+moments, which the package generates by their recurrences instead, and the
+gamma and zeta sums added term by term, which the package sums over one
+common denominator. The factorial family's approximants are checked
+against harmonic numbers, so agreement is evidence rather than
+tautology. The recurrence's polynomials are rebuilt from its coefficients
+and paired by the defining double sum, so its orthogonality is checked
+outside the moment table. ``records_from_json`` reads ``render``'s JSON
+output back for round-trip tests.
 """
 
 from __future__ import annotations
@@ -118,6 +119,24 @@ def gompertz_moment(n: int) -> Fraction:
 def factorial_moment(n: int) -> Fraction:
     """(n-1)!."""
     return Fraction(math.factorial(n - 1))
+
+
+def gamma_moment_terms(n: int) -> Fraction:
+    """(n-1)! * sum_{i=0..n} C(n,i) (-1)^i (n-2i-1) / (i+1)^(n+1), term by term."""
+    total = Fraction(0)
+    for i in range(n + 1):
+        term = Fraction(math.comb(n, i) * (n - 2 * i - 1), (i + 1) ** (n + 1))
+        total += -term if i % 2 else term
+    return math.factorial(n - 1) * total
+
+
+def zeta_moment_terms(k: int, n: int) -> Fraction:
+    """sum_{i=0..n-1} C(n-1,i) (-1)^i / (i+1)^k, term by term."""
+    total = Fraction(0)
+    for i in range(n):
+        term = Fraction(math.comb(n - 1, i), (i + 1) ** k)
+        total += -term if i % 2 else term
+    return total
 
 
 def gamma_moment_quad(n: int) -> tuple[float, float]:

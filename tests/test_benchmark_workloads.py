@@ -78,6 +78,11 @@ def test_benchmark_workload_passes_its_own_check_when_traced(
     finally:
         tracer.uninstall()
     assert workload.check(res.exit_code, res.stdout) is None, res.stderr
+    if factory == "gamma_both":
+        # The tracer sees the moments layer only through the functions it
+        # wraps: a gamma sequence that stopped calling gamma_moment would
+        # leave the layer unmeasured.
+        assert tracer.metrics()["moments.max_bits"] > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -21,9 +21,11 @@ from hankel_approx.moments import (
 from .oracles import (
     factorial_moment,
     gamma_moment_quad,
+    gamma_moment_terms,
     gompertz_moment,
     gompertz_moment_quad,
     zeta_moment_quad,
+    zeta_moment_terms,
 )
 
 
@@ -56,6 +58,13 @@ def test_factorial_moments():
 def test_recurrences_match_the_closed_forms():
     assert gompertz_sequence().moments(120) == [gompertz_moment(n) for n in range(1, 121)]
     assert factorial_sequence().moments(120) == [factorial_moment(n) for n in range(1, 121)]
+    # The gamma and zeta sums, over one common denominator, against the
+    # same sums added term by term.
+    assert [gamma_moment(n) for n in range(1, 121)] == [
+        gamma_moment_terms(n) for n in range(1, 121)]
+    for k in (2, 3, 7, 64):
+        assert [zeta_moment(k, n) for n in range(1, 121)] == [
+            zeta_moment_terms(k, n) for n in range(1, 121)]
 
 
 @pytest.mark.parametrize("fn", [gamma_moment, lambda n: gompertz_sequence().moment(n),
