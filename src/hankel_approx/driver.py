@@ -22,9 +22,11 @@ lines that ``validate`` prints, as (name, passed, detail) tuples. Both
 take a MomentSequence, which ``cli._sequence`` builds.
 
 Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
-NonPositiveQ, IndexOutOfRange) are RunStopped errors, raised after the last
-record the walk yielded, so a caller that keeps the rows it was given can
-still report partial progress.
+IndexOutOfRange) are RunStopped errors, raised after the last record the
+walk yielded, so a caller that keeps the rows it was given can still
+report partial progress. Both routes stop at the same first degree with
+t_n <= 0 and the same PositivityViolation; the determinant sweep raises it
+as the subclass NonPositiveQ.
 """
 
 from __future__ import annotations
@@ -174,12 +176,12 @@ def cross_validate(seq: MomentSequence, n_max: int) -> list[tuple[str, bool, str
     """
     try:
         records = list(walk(seq, n_max, exact=True))
+    except NonPositiveQ as exc:  # the recurrence passed n first: the table is at fault
+        return [("positive-Q", False, str(exc))]
     except PositivityViolation as exc:
         positive = f"positive through {exc.index - 1}" if exc.index else "positive at no degree"
         return [("positive-definite", False,
                  f"squared norm fails at degree {exc.index}; {positive}")]
-    except NonPositiveQ as exc:
-        return [("positive-Q", False, str(exc))]
     except EngineMismatch as exc:
         return [("engine-agreement", False, f"paths disagree first at n = {exc.n}")]
 

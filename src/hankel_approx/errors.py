@@ -45,21 +45,6 @@ class IndexOutOfRange(RunStopped, IndexError):
                          f"moment{'' if available == 1 else 's'} available")
 
 
-class NonPositiveQ(RunStopped, ArithmeticError):
-    """A shifted Hankel determinant Q_n came out <= 0.
-
-    The positivity hypothesis fails for this moment sequence; expected for
-    some custom inputs, a bug for the built-in families.
-    """
-
-    exit_code = EXIT_POSITIVITY
-
-    def __init__(self, n, value):
-        self.n = n
-        self.value = value
-        super().__init__(f"Q_{n} = {_brief(value)} is not positive")
-
-
 class PositivityViolation(RunStopped, ArithmeticError):
     """The moment bilinear form stopped being positive definite at degree ``index``."""
 
@@ -71,6 +56,13 @@ class PositivityViolation(RunStopped, ArithmeticError):
         super().__init__(
             f"positive definiteness fails at degree {index}: squared norm {_brief(value)} <= 0"
         )
+
+
+class NonPositiveQ(PositivityViolation):
+    """The determinant sweep's PositivityViolation: Q_n <= 0 at n = ``index``,
+    with ``value`` the squared norm Q_n / Q_{n-1} (Q_{-1} = 1). Where the
+    recurrence passed that degree first, only a wrong table can raise it,
+    and ``validate`` tells the two apart by this class."""
 
 
 class EngineMismatch(RunStopped, RuntimeError):

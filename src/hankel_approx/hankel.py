@@ -126,14 +126,17 @@ def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fr
 
     Step n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
     a short sequence fails at the first index it lacks; Q_n <= 0 raises
-    NonPositiveQ after both reads. Integral entries stay ints inside the
+    NonPositiveQ after both reads, with the recurrence's squared norm
+    t_n = Q_n / Q_{n-1} (Q_{-1} = 1). Integral entries stay ints inside the
     rows; each pair leaves as Fractions, since int / int would be a float.
     """
+    last = 1
     for n, (P, Q) in enumerate(_condense(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
         P, Q = Fraction(P), Fraction(Q)
         if Q <= 0:
-            raise NonPositiveQ(n, Q)
+            raise NonPositiveQ(n, Q / last)
         yield P, Q
+        last = Q
 
 
 # perfbench/test_perfbench.py still calls hankel_P and hankel_Q; ROADMAP item 3 removes them.

@@ -4,6 +4,7 @@ Whatever a moment file holds (recursive JSON documents, near-valid moment
 files, raw bytes), ``approx``, ``validate`` and ``moments`` end without a
 traceback, with exit code 0, 2, 3 or 4 and at most one short ``error:``
 line on stderr, and the rows ``approx`` prints are n = 0, 1, ... in order.
+``approx --method det`` prints exactly what ``approx`` prints.
 """
 
 from __future__ import annotations
@@ -87,16 +88,14 @@ def moments_path(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(content=moment_files, n_max=st.integers(0, 4), count=st.integers(1, 4),
-       fmt=st.sampled_from(["table", "csv"]), method=st.sampled_from(["both", "det"]))
-def test_hostile_moment_files_keep_the_cli_contract(moments_path, content, n_max, count,
-                                                    fmt, method):
+       fmt=st.sampled_from(["table", "csv"]))
+def test_hostile_moment_files_keep_the_cli_contract(moments_path, content, n_max, count, fmt):
     if isinstance(content, str):
         content = content.encode()
     moments_path.write_bytes(content)
     family = ["--family", "custom", "--moments-file", str(moments_path)]
     runs = {
-        "approx": ["approx", *family, "--n-max", str(n_max), "--format", fmt,
-                   "--method", method],
+        "approx": ["approx", *family, "--n-max", str(n_max), "--format", fmt],
         "validate": ["validate", *family, "--n-max", str(n_max)],
         "moments": ["moments", *family, "--count", str(count)],
     }
@@ -114,3 +113,4 @@ def test_hostile_moment_files_keep_the_cli_contract(moments_path, content, n_max
             assert [row.split(separator)[0] for row in rows] == [
                 str(n) for n in range(len(rows))]
             assert len(rows) <= n_max + 1
+            assert run_cli([*args, "--method", "det"]) == res

@@ -102,7 +102,8 @@ def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
     partial = []
     with pytest.raises(NonPositiveQ) as excinfo:
         collect(walk(load_moments(path), 3, "det"), partial)
-    assert excinfo.value.n == 1
+    assert (excinfo.value.index, excinfo.value.value) == (1, 0)
+    assert str(excinfo.value) == "positive definiteness fails at degree 1: squared norm 0 <= 0"
     assert [r.n for r in partial] == [0]
 
 

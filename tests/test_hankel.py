@@ -93,7 +93,7 @@ def test_hankel_Q_rejects_nonpositive():
         for n in (1, 2):
             with pytest.raises(NonPositiveQ) as excinfo:
                 determinant(seq, n)
-            assert (excinfo.value.n, excinfo.value.value) == (1, 0)
+            assert (excinfo.value.index, excinfo.value.value) == (1, 0)
             assert type(excinfo.value.value) is Fraction
 
 
@@ -147,6 +147,23 @@ def test_residues_stop_at_a_moment_the_prime_cannot_reduce(monkeypatch):
     assert calls == []
     rows = [r[:4] for r in walk(seq, 5)]
     assert rows == [r[:4] for r in ortho_records(seq, 5)]
+    assert len(rows) == 6
+
+
+def test_elimination_stops_at_a_moment_the_prime_cannot_reduce(monkeypatch):
+    # SYMMETRIC's zero divisor a_3 hands rows 2 .. 5 to the elimination mod
+    # the check prime p; p divides the denominator of a_8 + 1/p, so that
+    # elimination ends before row 3, which needs a_8, and the walk compares
+    # rows 3 .. 5 exactly instead.
+    p = 2**61 - 1
+    a = list(SYMMETRIC)
+    a[7] += Fraction(1, p)
+    seq = MomentSequence("bumped", values=a)
+    calls = record_eliminations(monkeypatch)
+    assert len(list(hankel.hankel_residues(seq, 5, p))) == 3
+    assert calls == [False]
+    rows = [r[:4] for r in walk(seq, 5)]
+    assert rows == [r[:4] for r in walk(seq, 5, "det")]
     assert len(rows) == 6
 
 

@@ -153,7 +153,7 @@ def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
         assert pairs == list(hankel_sweep(seq, 3))
 
 
-def test_norm_product_equals_hankel_Q(gompertz_seq):
+def test_product_of_squared_norms_equals_hankel_Q(gompertz_seq):
     for (_, norm), (_, Q) in zip(ortho_sweep(gompertz_seq, 6), hankel_sweep(gompertz_seq, 6),
                                  strict=True):
         assert norm == Q

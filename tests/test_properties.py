@@ -122,7 +122,7 @@ def determinant_run(rows):
         for row in rows:
             taken.append(row)
     except NonPositiveQ as exc:
-        return taken, exc.n
+        return taken, exc.index
     return taken, None
 
 
@@ -139,7 +139,7 @@ def test_partial_sums_equal_determinant_ratio(case):
 
 @small_and_fast
 @given(sequences)
-def test_norm_product_equals_hankel_Q(case):
+def test_product_of_squared_norms_equals_hankel_Q(case):
     seq, n_max = case
     pairs = recurrence_run(seq, n_max)[0]
     dets = determinant_run(hankel_sweep(seq, n_max))[0]
@@ -219,17 +219,15 @@ def test_integer_elimination_matches_cofactor_expansion(case):
 
 def walk_run(seq, n_max, route):
     """The (n, P, Q, value) rows of the driver walk by ``route`` ("det" or
-    "both"), or of ``ortho_sweep`` read directly ("ortho"), and the n the
-    run stopped at or None."""
+    "both"), or of ``ortho_sweep`` read directly ("ortho"), and the
+    positivity stop as (degree, squared norm, message) or None."""
     records = []
     try:
         collect(ortho_records(seq, n_max) if route == "ortho" else walk(seq, n_max, route),
                 records)
         stop = None
     except PositivityViolation as exc:
-        stop = exc.index
-    except NonPositiveQ as exc:
-        stop = exc.n
+        stop = exc.index, exc.value, str(exc)
     return [(r.n, r.P, r.Q, r.value) for r in records], stop
 
 
