@@ -51,8 +51,18 @@ B = w C/(z d_{k-1}), row k+1 is
 
     M_i = A (v N_k[i+2] - u N_k[i+1]) - B N_{k-1}[i+2]      over C,
 
-reduced by one gcd of C and every M_i. (Left in, f would ride along in
-C and in every product, only for that gcd to divide it back out.)
+reduced by the row's gcd g = gcd(C, M_0, ..., M_r). (Left in, f would
+ride along in C and in every product, only for that gcd to divide it back
+out.) That takes one big gcd, not one per entry. Every common divisor of
+C and the M_i divides their sum, so with h = gcd(C, M_0 + ... + M_r)
+
+    g = gcd(C, M_0 + ... + M_r, M_0, ..., M_r) = gcd(h, M_0 mod h, ..., M_r mod h),
+
+whatever the sum is. In practice h is g itself or g times a few small
+primes, so the second gcd runs on remainders below h; with
+M_i = q_i h + r_i, g divides every r_i, and the reduced entries are
+q_i (h/g) + r_i/g over C/g. If h = 1 the row is reduced already.
+
 Row -1 is an ordinary row: zero entries (q_{-1} = 0) over d_{-1} = 1,
 t_{-1} = 1 (the empty product of norms) and r_{-1} = 0, which give
 alpha_0 = r_0 and the convention beta_0 = t_0. Then s_{k+1} =
@@ -125,9 +135,13 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
                 if l >= 0 and value:
                     raise OrthogonalityLost(n, l, Fraction(value, C))
             nxt = [Av * N[i + 2] - Au * N[i + 1] - B * M[i + 2] for i in range(len(N) - 2)]
-            g = gcd(C, *nxt)
-            N, d = [x // g for x in nxt], C // g
-            s, s_prev = (moments[1] if n == 1 else 0) - alpha * s - beta * s_prev, s
+            N, d, h = nxt, C, gcd(C, sum(nxt))
+            if h > 1:  # else gcd(C, *nxt) = 1 already
+                qr = [divmod(x, h) for x in nxt]
+                g = gcd(h, *(r for _, r in qr))
+                c = h // g
+                N, d = [q * c + r // g for q, r in qr], C // g
+            s, s_prev = moments[1] - alpha * s if n == 1 else -(alpha * s + beta * s_prev), s
         if not N:  # t_n needs a_{2n+2}
             raise short
         t_n = Fraction(N[0], d)

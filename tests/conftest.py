@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from hankel_approx import driver, hankel, orthopoly
 from hankel_approx.cli import main
 from hankel_approx.driver import ApproximantRecord
 from hankel_approx.moments import (
+    MomentSequence,
     factorial_sequence,
     gamma_sequence,
     gompertz_sequence,
@@ -19,6 +23,7 @@ from hankel_approx.moments import (
 
 
 CliRun = namedtuple("CliRun", "exit_code stdout stderr")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args) -> CliRun:
@@ -32,6 +37,30 @@ def run_cli(args) -> CliRun:
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
     return CliRun(code, stdout.getvalue(), stderr.getvalue())
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, imported from its file and left unchanged."""
+    # Importing the module lifts the int/str digit limit for the whole
+    # process; put back the limit the package set. Its dataclass needs the
+    # module in sys.modules while it runs.
+    limit = sys.get_int_max_str_digits()
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, module)
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return module
+
+
+def measure_ortho_moments(workloads, seed: int, n_max: int = 15):
+    """The moments of measure-ortho's file for ``seed`` and ``n_max``, read exactly."""
+    measure = workloads.discrete_measure(seed, n_max + 1)
+    return MomentSequence(f"measure-{seed}", values=workloads.measure_moments(measure, 2 * n_max + 2))
 
 
 @pytest.fixture

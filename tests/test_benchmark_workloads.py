@@ -13,35 +13,15 @@ unchanged.
 from __future__ import annotations
 
 import importlib.util
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from hankel_approx import cli, hankel, moments, orthopoly
 
-from .conftest import run_cli
+from .conftest import PERFBENCH, measure_ortho_moments, run_cli
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-SPANS = WORKLOADS.with_name("spans.py")
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    # Importing the module lifts the int/str digit limit for the whole
-    # process; put back the limit the package set. Its dataclass needs the
-    # module in sys.modules while it runs.
-    limit = sys.get_int_max_str_digits()
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(sys.modules, spec.name, module)
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            sys.set_int_max_str_digits(limit)
-    return module
+SPANS = PERFBENCH / "spans.py"
 
 
 @pytest.mark.parametrize("factory, n_max", [
@@ -90,9 +70,7 @@ def test_recurrence_equals_determinant_sweep_on_measure_ortho(workloads, seed):
     # The moments of measure-ortho's file, read exactly: both routes give
     # the same (P_n, Q_n) at every n <= 15, not only the same approximant.
     n_max = 15
-    measure = workloads.discrete_measure(seed, n_max + 1)
-    seq = moments.MomentSequence(f"measure-{seed}",
-                                 values=workloads.measure_moments(measure, 2 * n_max + 2))
+    seq = measure_ortho_moments(workloads, seed, n_max)
     pairs = list(orthopoly.ortho_sweep(seq, n_max))
     assert len(pairs) == n_max + 1
     assert pairs == list(hankel.hankel_sweep(seq, n_max))

@@ -227,7 +227,7 @@ def test_compare_reference():
         assert r.gap == ref.as_fraction() - r.value
 
 
-def test_emit_table_elides_large_rationals():
+def test_render_table_elides_large_rationals():
     records = list(walk(gompertz_sequence(), 21))
     big = records[-1]
     decimal = rat_to_decimal(big.value)
@@ -238,13 +238,13 @@ def test_emit_table_elides_large_rationals():
     assert json.loads("".join(render(records, "json")))[21]["value"] == str(big.value)
 
 
-def test_emit_table_digit_override():
+def test_render_table_digit_override():
     records = list(walk(gompertz_sequence(), 1))
     table = "".join(render(records, "table", digits=4))
     assert table.splitlines() == ["0 | 1/2 | 0.5000", "1 | 4/7 | 0.5714"]
 
 
-def test_emit_csv():
+def test_render_csv():
     records = list(walk(gompertz_sequence(), 1))
     lines = "".join(render(records, "csv")).splitlines()
     assert lines[0] == "n,P,Q,value,gap"
@@ -254,7 +254,7 @@ def test_emit_csv():
     assert fact.splitlines()[1].endswith(",")  # empty gap column
 
 
-def test_emit_json_roundtrip():
+def test_render_json_roundtrip():
     records = list(walk(zeta_sequence(2), 3))
     text = "".join(render(records, "json"))
     rows = json.loads(text)
@@ -266,7 +266,7 @@ def test_emit_json_roundtrip():
     assert records_from_json(text) == records
 
 
-def test_emit_rejects_unknown_format():
+def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         list(render([], "xml"))
 

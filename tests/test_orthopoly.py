@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from hankel_approx import orthopoly
 from hankel_approx.errors import OrthogonalityLost, PositivityViolation
 from hankel_approx.hankel import hankel_sweep
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
+from .conftest import measure_ortho_moments
 from .oracles import inner_product, polynomials
 
 
@@ -105,6 +108,43 @@ def test_orthogonality_small(gompertz_seq, zeta2_seq, coefficients):
             for j in range(i):
                 assert inner_product(polys[i], polys[j], seq) == 0, seq.name
             assert inner_product(polys[i], polys[i], seq) == t[i], seq.name
+
+
+@pytest.fixture
+def rows(monkeypatch, coefficients):
+    """Every row (N_k, d_k) of the recurrence's table, k = 0, 1, ..., read
+    where ``_coefficients`` reads it, alongside the recorded coefficients."""
+    recording, recorded = orthopoly._coefficients, []
+
+    def reading(row, prev, k):
+        recorded.append(row[:2])
+        return recording(row, prev, k)
+
+    monkeypatch.setattr(orthopoly, "_coefficients", reading)
+    return recorded
+
+
+@pytest.mark.parametrize("family, n_max", [
+    # gcd(C, sum of the row) overshoots the row's gcd on 8 of zeta(2)'s 9
+    # formed rows, 5 of zeta(3)'s 9, 2 of gamma's 7 and none of the
+    # measure's 5, so the remainders both do and do not reduce further.
+    ("zeta2", 10), ("zeta3", 10), ("gamma", 8), ("measure", 6)])
+def test_every_row_is_reduced_and_holds_the_mixed_moments(request, workloads, coefficients, rows,
+                                                         family, n_max):
+    if family == "measure":
+        seq = measure_ortho_moments(workloads, 1)
+    else:
+        seq = request.getfixturevalue(f"{family}_seq")
+    assert len(list(ortho_sweep(seq, n_max))) == n_max + 1
+    polys = polynomials(coefficients)
+    assert len(rows) == n_max
+    for k, (N, d) in enumerate(rows):
+        assert d > 0 and gcd(d, *N) == 1, (family, k)
+        # Row k holds sigma_{k,k+i} = <q_k, x^(k+i)>, i = 0 .. 2 (n_max - k).
+        assert len(N) == 2 * (n_max - k) + 1
+        for i, x in enumerate(N):
+            monomial = (0,) * (k + i) + (1,)
+            assert Fraction(x, d) == inner_product(polys[k], monomial, seq), (family, k, i)
 
 
 def test_ortho_sweep_stops_at_lost_orthogonality(gompertz_seq, skewed_alpha_1):
