@@ -36,45 +36,50 @@ Index-shift warning: the form consumes a_{i+j+2} while s_k consumes
 a_{j+1}. Both shifts come from the same embedding, every polynomial is
 implicitly multiplied by x once, and the column l = -1 of the table is the
 single shift: sigma_{k,-1} = L(x q_k). Keep the two shifts distinct;
-conflating them is the classic off-by-one here.
+conflating them is the classic off-by-one here. The code keeps them apart
+by storing column l at position l + 1: entry j of a row is
+sigma_{k,j-1}, so s_k is entry 0 and t_k is entry k + 1.
 
-Only two rows of the table are kept. Row k holds sigma_{k,k+i}, i >= 0,
-as a list N_k of Python ints over one positive denominator d_k, reduced
-so that d_k and the entries share no factor; row 0 is a_2 .. a_{2n+2}
-over the lcm of their denominators. Each row also carries t_k = N_k[0]/d_k
-and r_k = sigma_{k,k+1}/t_k = N_k[1]/N_k[0], reduced once when the row is
-built, and alpha_k = r_k - r_{k-1}, beta_k = t_k/t_{k-1} are read off them.
-With alpha_k = u/v and beta_k = w/z in lowest terms, f = gcd(w, d_{k-1})
-is cancelled first, so that C = lcm(v d_k, z d_{k-1}/f) is the least
-common denominator of the three terms; with A = C/(v d_k) and
-B = w C/(z d_{k-1}), row k+1 is
+Only two rows of the table are kept, each whole from l = -1. Row k holds
+sigma_{k,l}, l = -1 .. 2 n_max - k, as a list N_k of Python ints over one
+positive denominator d_k, reduced so that d_k and the entries share no
+factor; row 0 is a_1 .. a_{2n+2} over the lcm of their denominators. Row
+k's entries l = 0 .. k-1 are zeros, s_k = N_k[0]/d_k and t_k = N_k[k+1]/d_k.
+Each row also carries t_k and r_k = sigma_{k,k+1}/t_k = N_k[k+2]/N_k[k+1],
+reduced once when the row is built, and alpha_k = r_k - r_{k-1},
+beta_k = t_k/t_{k-1} are read off them. With alpha_k = u/v and
+beta_k = w/z in lowest terms, f = gcd(w, d_{k-1}) is cancelled first, so
+that C = lcm(v d_k, z d_{k-1}/f) is the least common denominator of the
+three terms; with A = C/(v d_k) and B = w C/(z d_{k-1}), row k+1 is
 
-    M_i = A (v N_k[i+2] - u N_k[i+1]) - B N_{k-1}[i+2]      over C,
+    M_j = A (v N_k[j+1] - u N_k[j]) - B N_{k-1}[j]      over C,
 
-reduced by the row's gcd g = gcd(C, M_0, ..., M_r). (Left in, f would
+one formula for every entry, s_{k+1} = M_0/C and the zeros included. It
+is reduced by the row's gcd g = gcd(C, M_0, ..., M_r). (Left in, f would
 ride along in C and in every product, only for that gcd to divide it back
 out.) That takes one big gcd, not one per entry. Every common divisor of
-C and the M_i divides their sum, so with h = gcd(C, M_0 + ... + M_r)
+C and the M_j divides their sum, so with h = gcd(C, M_0 + ... + M_r)
 
     g = gcd(C, M_0 + ... + M_r, M_0, ..., M_r) = gcd(h, M_0 mod h, ..., M_r mod h),
 
 whatever the sum is. In practice h is g itself or g times a few small
 primes, so the second gcd runs on remainders below h; with
-M_i = q_i h + r_i, g divides every r_i, and the reduced entries are
-q_i (h/g) + r_i/g over C/g. If h = 1 the row is reduced already.
+M_j = q_j h + r_j, g divides every r_j, and the reduced entries are
+q_j (h/g) + r_j/g over C/g. If h = 1 the row is reduced already. A zero
+entry costs one divmod of 0, and s_k one more entry in the same pass.
 
-Row -1 is an ordinary row: zero entries (q_{-1} = 0) over d_{-1} = 1,
-t_{-1} = 1 (the empty product of norms) and r_{-1} = 0, which give
-alpha_0 = r_0 and the convention beta_0 = t_0. Then s_{k+1} =
-sigma_{k,0} - alpha_k s_k - beta_k s_{k-1}, with s_{-1} = 0 and
-sigma_{k,0} = a_2 for k = 0 and 0 after it.
+Row -1 is an ordinary row: zero entries (q_{-1} = 0, so s_{-1} = 0) over
+d_{-1} = 1, t_{-1} = 1 (the empty product of norms) and r_{-1} = 0, which
+give alpha_0 = r_0 and the convention beta_0 = t_0. The first step needs
+no case of its own: sigma_{0,0} = a_2 is entry 1 of row 0, so entry 0 of
+row 1 is s_1 = a_2 - alpha_0 s_0, and later steps read the zero
+sigma_{k,0} in its place.
 
 Orthogonality makes sigma_{k+1,l} = 0 for 0 <= l <= k. Only l = k - 1 and
-l = k are checked, in that order: over C they are A v N_k[0] - B N_{k-1}[0]
-and A (v N_k[1] - u N_k[0]) - B N_{k-1}[1]. The lower entries are built
-only from zero entries of rows k and k-1, which passed the same check, so
-by induction they are zero. Since q_l is monic, the first nonzero one
-equals <q_{k+1}, q_l> and raises OrthogonalityLost.
+l = k are checked, in that order: they are M_k and M_{k+1} over C. The
+lower entries are built only from zero entries of rows k and k-1, which
+passed the same check, so by induction they are zero. Since q_l is monic,
+the first nonzero one equals <q_{k+1}, q_l> and raises OrthogonalityLost.
 
 The sweep to n_max reads a_1 .. a_{2 n_max + 2} before its first row. A
 short sequence still yields every pair its moments support: step n needs
@@ -98,8 +103,8 @@ from .moments import MomentSequence
 
 
 def _coefficients(row: tuple, prev: tuple, k: int) -> tuple:
-    """(alpha_k, beta_k) read off rows k and k-1, each (numerators,
-    denominator, t_k, sigma_{k,k+1}/t_k)."""
+    """(alpha_k, beta_k) read off rows k and k-1, each (numerators of
+    sigma_{k,l} from l = -1 on, denominator, t_k, sigma_{k,k+1}/t_k)."""
     return row[3] - prev[3], row[2] / prev[2]
 
 
@@ -114,14 +119,13 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
             moments.append(seq.moment(len(moments) + 1))
     except IndexOutOfRange as exc:
         short = exc
-    d = lcm(*(a.denominator for a in moments[1:]))
-    N = [a.numerator * (d // a.denominator) for a in moments[1:]]
+    d = lcm(*(a.denominator for a in moments))
+    N = [a.numerator * (d // a.denominator) for a in moments]
     row = [0] * len(N), 1, 1, 0  # row -1: q_{-1} = 0, t_{-1} = 1, r_{-1} = 0
-    s, s_prev = moments[0] if moments else None, 0
     partial_sum, norm = Fraction(0), Fraction(1)
     for n in range(n_max + 1):
         if n:
-            if len(N) < 2:  # alpha_{n-1} needs a_{2n+1}
+            if len(N) < n + 2:  # alpha_{n-1} needs a_{2n+1}
                 raise short
             alpha, beta = _coefficients(row, prev, n - 1)
             M, e = prev[:2]
@@ -130,24 +134,22 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
             h = gcd(X, Y)
             A, B = Y // h, beta.numerator // f * (X // h)  # C = lcm(X, Y) = A X, B = w C/(z e)
             C, Av, Au = A * X, A * alpha.denominator, A * alpha.numerator
-            for l, value in ((n - 2, Av * N[0] - B * M[0]),
-                             (n - 1, Av * N[1] - Au * N[0] - B * M[1])):
-                if l >= 0 and value:
-                    raise OrthogonalityLost(n, l, Fraction(value, C))
-            nxt = [Av * N[i + 2] - Au * N[i + 1] - B * M[i + 2] for i in range(len(N) - 2)]
+            nxt = [Av * N[j + 1] - Au * N[j] - B * M[j] for j in range(len(N) - 1)]
+            for l in range(max(n - 2, 0), n):
+                if nxt[l + 1]:
+                    raise OrthogonalityLost(n, l, Fraction(nxt[l + 1], C))
             N, d, h = nxt, C, gcd(C, sum(nxt))
             if h > 1:  # else gcd(C, *nxt) = 1 already
                 qr = [divmod(x, h) for x in nxt]
                 g = gcd(h, *(r for _, r in qr))
                 c = h // g
                 N, d = [q * c + r // g for q, r in qr], C // g
-            s, s_prev = moments[1] - alpha * s if n == 1 else -(alpha * s + beta * s_prev), s
-        if not N:  # t_n needs a_{2n+2}
+        if len(N) < n + 2:  # t_n needs a_{2n+2}
             raise short
-        t_n = Fraction(N[0], d)
+        t_n = Fraction(N[n + 1], d)
         if t_n <= 0:
             raise PositivityViolation(n, t_n)
-        prev, row = row, (N, d, t_n, Fraction(N[1], N[0]) if len(N) > 1 else None)
-        partial_sum += s ** 2 / t_n
+        prev, row = row, (N, d, t_n, Fraction(N[n + 2], N[n + 1]) if len(N) > n + 2 else None)
+        partial_sum += Fraction(N[0] ** 2, d * N[n + 1])
         norm *= t_n
         yield partial_sum * norm, norm

@@ -88,7 +88,7 @@ def test_run_convergence_factorial_has_no_gap():
     assert all(r.gap is None for r in records)
 
 
-def test_run_convergence_positivity_violation_carries_records(write_moments_file):
+def test_walk_positivity_violation_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
     partial = []
     with pytest.raises(PositivityViolation):
@@ -108,7 +108,7 @@ def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
 
 
 @pytest.mark.parametrize("method", ["ortho", "det", "both"])
-def test_run_convergence_short_file_carries_records(write_moments_file, method):
+def test_walk_short_file_carries_records(write_moments_file, method):
     # "ortho" reads the recurrence directly, which must stop the same way.
     path = write_moments_file("short", ["1", "2", "5", "16"])
     partial = []
@@ -122,7 +122,7 @@ def test_run_convergence_short_file_carries_records(write_moments_file, method):
 
 
 @pytest.mark.parametrize("method", ["ortho", "det", "both"])
-def test_run_convergence_short_file_of_odd_length_carries_records(write_moments_file, method):
+def test_walk_short_file_of_odd_length_carries_records(write_moments_file, method):
     # a_5 is there but a_6 is not: the rows n = 0, 1 come first, and the
     # stop names a_6, as if the moments were read one at a time.
     path = write_moments_file("short", ["1", "2", "5", "16", "65"])
@@ -203,7 +203,7 @@ def test_default_walk_compares_exactly_from_the_first_row_the_prime_cannot_form(
     assert [r.n for r in partial] == [0, 1, 2, 3]
 
 
-def test_run_convergence_lost_orthogonality_carries_records(skewed_alpha_1):
+def test_walk_lost_orthogonality_carries_records(skewed_alpha_1):
     partial = []
     with pytest.raises(OrthogonalityLost) as excinfo:
         collect(walk(gompertz_sequence(), 4), partial)

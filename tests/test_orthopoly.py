@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from hankel_approx import orthopoly
-from hankel_approx.errors import OrthogonalityLost, PositivityViolation
+from hankel_approx.errors import IndexOutOfRange, OrthogonalityLost, PositivityViolation
 from hankel_approx.hankel import hankel_sweep
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
@@ -125,9 +125,10 @@ def rows(monkeypatch, coefficients):
 
 
 @pytest.mark.parametrize("family, n_max", [
-    # gcd(C, sum of the row) overshoots the row's gcd on 8 of zeta(2)'s 9
-    # formed rows, 5 of zeta(3)'s 9, 2 of gamma's 7 and none of the
-    # measure's 5, so the remainders both do and do not reduce further.
+    # gcd(C, sum of the row) overshoots the row's gcd on 7 of the 10 rows
+    # zeta(2)'s sweep reduces, 6 of zeta(3)'s 10, 2 of gamma's 8 and none
+    # of the measure's 6, so the remainders both do and do not reduce
+    # further.
     ("zeta2", 10), ("zeta3", 10), ("gamma", 8), ("measure", 6)])
 def test_every_row_is_reduced_and_holds_the_mixed_moments(request, workloads, coefficients, rows,
                                                          family, n_max):
@@ -140,11 +141,15 @@ def test_every_row_is_reduced_and_holds_the_mixed_moments(request, workloads, co
     assert len(rows) == n_max
     for k, (N, d) in enumerate(rows):
         assert d > 0 and gcd(d, *N) == 1, (family, k)
-        # Row k holds sigma_{k,k+i} = <q_k, x^(k+i)>, i = 0 .. 2 (n_max - k).
-        assert len(N) == 2 * (n_max - k) + 1
-        for i, x in enumerate(N):
-            monomial = (0,) * (k + i) + (1,)
-            assert Fraction(x, d) == inner_product(polys[k], monomial, seq), (family, k, i)
+        # Row k holds sigma_{k,l} = <q_k, x^l>, l = -1 .. 2 n_max - k, at N[l + 1].
+        assert len(N) == 2 * n_max + 2 - k
+        # s_k = sigma_{k,-1} = L(x q_k) = sum_j c_j a_{j+1}.
+        s_k = sum(c * seq.moment(j + 1) for j, c in enumerate(polys[k]))
+        assert Fraction(N[0], d) == s_k, (family, k)
+        assert N[1:k + 1] == [0] * k, (family, k)
+        for l in range(k, len(N) - 1):
+            monomial = (0,) * l + (1,)
+            assert Fraction(N[l + 1], d) == inner_product(polys[k], monomial, seq), (family, k, l)
 
 
 def test_ortho_sweep_stops_at_lost_orthogonality(gompertz_seq, skewed_alpha_1):
@@ -191,6 +196,24 @@ def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
         pairs = list(ortho_sweep(seq, 3))
         assert len(pairs) == 4
         assert pairs == list(hankel_sweep(seq, 3))
+
+
+@pytest.mark.parametrize("family", ["gompertz", "zeta2"])
+@pytest.mark.parametrize("length", range(8))
+def test_both_routes_stop_alike_on_every_short_sequence(request, family, length):
+    # a_1 .. a_L support the pairs n < L // 2; the first moment missing is a_{L+1}.
+    full = request.getfixturevalue(f"{family}_seq")
+    seq = MomentSequence(f"{family}-{length}", values=[full.moment(i) for i in range(1, length + 1)])
+    yielded = []
+    for sweep in (ortho_sweep, hankel_sweep):
+        pairs = []
+        with pytest.raises(IndexOutOfRange) as excinfo:
+            for pair in sweep(seq, 3):
+                pairs.append(pair)
+        assert (excinfo.value.requested, excinfo.value.available) == (length + 1, length), sweep
+        yielded.append(pairs)
+    assert len(yielded[0]) == length // 2
+    assert yielded[0] == yielded[1]
 
 
 def test_product_of_squared_norms_equals_hankel_Q(gompertz_seq):
