@@ -4,8 +4,6 @@ Exit codes: 0 all checks pass, 2 validation failure or usage error, 3
 positivity violation, 4 I/O or parse error.
 """
 
-from __future__ import annotations
-
 import os
 import re
 import sys

@@ -29,8 +29,6 @@ t_n <= 0 and the same PositivityViolation; the determinant sweep raises it
 as the subclass NonPositiveQ.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice

@@ -10,8 +10,6 @@ digit string, optionally ``/`` followed by a digit string denoting a
 positive denominator. ``9/41``, ``-3``, ``0`` are all valid.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from fractions import Fraction

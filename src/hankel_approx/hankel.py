@@ -41,8 +41,6 @@ divides, or a pivot that p divides, ends it early; the caller decides what
 replaces the rest.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice

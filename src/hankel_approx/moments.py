@@ -22,9 +22,6 @@ engine discovers and reports at runtime. ``cli._sequence`` maps family names
 to these builders.
 """
 
-from __future__ import annotations
-
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
@@ -171,8 +168,10 @@ def load_moments(path) -> MomentSequence:
     constant, stored without surrounding whitespace and at most MAX_DIGITS
     characters long. Malformed entries (also one past the int/str digit limit)
     raise ParseError pointing at the offending token, as does a file that is
-    not UTF-8, too deep for the JSON parser or holds a number literal past
-    that limit; a moment past the end of ``a`` raises IndexOutOfRange.
+    not UTF-8 or too deep for the JSON parser. A JSON number in any of the
+    three fields gets that field's type error, whatever its length; under
+    any other key it is ignored. A moment past the end of ``a`` raises
+    IndexOutOfRange.
     """
     import json  # here, so that runs on a built-in family never load it
 
@@ -183,15 +182,12 @@ def load_moments(path) -> MomentSequence:
         raise ParseError(
             f"moment file is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_int=float)  # float(): no digit limit, and still a number
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid moment file: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("invalid moment file: nested too deeply") from exc
-    except ValueError as exc:  # an integer literal past the int/str digit limit
-        raise ParseError("invalid moment file: a number has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("moment file must hold a JSON object")
     name = doc.get("name")

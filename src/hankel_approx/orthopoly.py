@@ -92,8 +92,6 @@ PositivityViolation, an expected outcome for user-supplied sequences; the
 pairs yielded before it stay valid.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm

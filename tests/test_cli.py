@@ -213,9 +213,13 @@ def test_non_utf8_moments_file_is_a_parse_error(tmp_path, command):
     ('{"name": "x", "a": ["1"], "reference": "0.' + "1" * 2_000_000 + '"}',
      "error: reference: longer than 100000 characters (line 1, column 40)\n"),
     ('{"name": "x", "a": [' + "1" * 2_000_001 + "]}",
-     "error: invalid moment file: a number has more than 2000000 digits\n"),
+     "error: moment a_1 must be a rational string, got a JSON number\n"),
     ('{"name": ' + "1" * 2_000_001 + ', "a": ["1"]}',
-     "error: invalid moment file: a number has more than 2000000 digits\n"),
+     'error: moment file needs a nonempty string field "name"\n'),
+    ('{"name": "x", "a": ["1"], "reference": ' + "1" * 2_000_001 + "}",
+     'error: "reference" must be a decimal string\n'),
+    ('{"name": "x", "a": [5]}',
+     "error: moment a_1 must be a rational string, got a JSON number\n"),
     ('{"name": "x", "a": [' + "[" * 900 + "]" * 900 + "]}",
      "error: moment a_1 must be a rational string, got a JSON array\n"),
     ('{"name": "x", "a": ["\\u0661", "\\u0662"]}',
@@ -227,15 +231,17 @@ def test_non_utf8_moments_file_is_a_parse_error(tmp_path, command):
     ('{"name": "x\\"abc", "a": ["1", "abc"]}',
      "error: moment a_2: not a rational: 'abc' (line 1, column 31)\n"),
 ], ids=["nested", "long-moment", "long-reference", "long-literal", "long-literal-name",
-        "nested-entry", "non-ascii-moment", "non-ascii-reference", "entry-equals-name",
-        "entry-inside-name"])
+        "long-literal-reference", "number-entry", "nested-entry", "non-ascii-moment",
+        "non-ascii-reference", "entry-equals-name", "entry-inside-name"])
 def test_hostile_moments_file_is_a_parse_error(tmp_path, command, text, stderr):
-    # Too deep for the JSON parser, more digits than the int/str limit that
-    # importing the package sets, an entry whose text must not be echoed, or
-    # digits outside 0-9 (Arabic-Indic here), which int() alone would read:
-    # one short error line, no traceback. A bad string's position is that of
-    # the one literal decoding to it, escapes and all; with two such
-    # literals (the name and the entry) the line gives none.
+    # Too deep for the JSON parser, a string with more digits than the
+    # int/str limit that importing the package sets, a JSON number in a
+    # field (that field's type error, however long the number), an entry
+    # whose text must not be echoed, or digits outside 0-9 (Arabic-Indic
+    # here), which int() alone would read: one short error line, no
+    # traceback. A bad string's position is that of the one literal decoding
+    # to it, escapes and all; with two such literals (the name and the entry)
+    # the line gives none.
     path = tmp_path / "hostile.json"
     path.write_text(text)
     res = run_cli(command + ["--family", "custom", "--moments-file", str(path)])
@@ -243,6 +249,21 @@ def test_hostile_moments_file_is_a_parse_error(tmp_path, command, text, stderr):
     assert res.stdout == ""
     assert res.stderr == stderr
     assert len(res.stderr.encode()) < 100
+
+
+def test_long_number_under_an_unknown_key_is_ignored(tmp_path):
+    # No JSON number reaches int(), so a literal past the int/str limit under
+    # a key the schema does not read changes nothing.
+    plain = '{"name": "x", "a": ["1", "2", "5", "16"]'
+    outputs = []
+    for text in (plain + "}", plain + ', "extra": ' + "1" * 2_000_001 + "}"):
+        path = tmp_path / "moments.json"
+        path.write_text(text)
+        res = run_cli(["approx", "--family", "custom", "--moments-file", str(path),
+                       "--n-max", "1"])
+        assert res.exit_code == 0
+        outputs.append(res.stdout)
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("entry, reference, stderr", [

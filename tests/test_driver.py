@@ -49,7 +49,7 @@ def test_runs_reject_bad_input():
         list(walk(gompertz_sequence(), 3, "magic"))
 
 
-def test_run_convergence_default_method(write_moments_file):
+def test_walk_default_method(write_moments_file):
     assert {r.method for r in walk(gompertz_sequence(), 2)} == {"both"}
     det = list(walk(gompertz_sequence(), 2, "det"))
     assert {r.method for r in det} == {"det"}
@@ -58,7 +58,7 @@ def test_run_convergence_default_method(write_moments_file):
     assert {r.method for r in custom} == {"both"}
 
 
-def test_run_convergence_matches_known_rows():
+def test_walk_matches_known_rows():
     records = list(walk(gompertz_sequence(), 5))
     assert [r.n for r in records] == list(range(6))
     for r in records:
@@ -70,7 +70,7 @@ def test_run_convergence_matches_known_rows():
         assert r.gap is not None and r.gap > 0
 
 
-def test_run_convergence_gaps_shrink():
+def test_walk_gaps_shrink():
     records = list(walk(zeta_sequence(2), 6))
     gaps = [r.gap for r in records]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
