@@ -113,10 +113,9 @@ def moments(args):
     --moments-file.
     """
     seq = _sequence(args)
-    try:
-        values = seq.moments(args.count)
-    except IndexOutOfRange as exc:
-        _exit(exc, EXIT_IO)
+    values, short = seq.prefix(args.count)
+    if short is not None:
+        _exit(short, EXIT_IO)
     if args.fmt == "json":
         import json  # here, so that csv runs never load it
 

@@ -30,9 +30,11 @@ and one-step fraction-free elimination (Bareiss 1968) grows M_n by one row
 and column per n, O(n^2) operations per step. Its pivots are Q_0, Q_1, ...,
 so it never searches for one.
 
-On integer moments every division in both algorithms is exact
-(Sylvester's identity), so the exact route keeps integral moments and
-quotients as Python ints and turns each pair it yields into Fractions.
+Both algorithms take the list a_0 = 0, a_1 .. a_{2N+2}, read in one
+``MomentSequence.prefix`` call, and stop where it ends. On integer moments
+every division is exact (Sylvester's identity), so the exact route runs on
+ints and ``//`` when every moment is an integer, on Fractions and ``/``
+otherwise.
 
 ``hankel_residues`` runs the same two algorithms on the moments reduced
 mod a prime p, dividing by modular inverses: its entries stay below p
@@ -41,6 +43,7 @@ divides, or a pivot that p divides, ends it early; the caller decides what
 replaces the rest.
 """
 
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
@@ -49,47 +52,41 @@ from .errors import NonPositiveQ
 from .moments import MomentSequence
 
 
-def _condense(moment, divide, n_max: int) -> Iterator[tuple]:
+def _condense(a: list, divide, n_max: int) -> Iterator[tuple]:
     """Yield (-H^(0)_{n+2}, H^(2)_{n+1}) for n = 0, 1, ... up to n_max.
 
-    ``moment(j)`` gives a_j and ``divide`` the quotient of two entries, in
-    whichever arithmetic the caller works. A moment given as None ends the
-    rows; at a zero divisor the rest, from the row the table cannot
-    finish, come from ``_eliminate``.
+    ``a`` is the list a_0 = 0, a_1, ... and ``divide`` the quotient of two
+    entries, in whichever arithmetic the caller works. The rows stop where
+    the list can no longer finish one; at a zero divisor the rest, from the
+    row the table cannot finish, come from ``_eliminate`` on the same list.
     """
     older, old = None, [1, 0]  # anti-diagonals j - 2 and j - 1; a_0 = 0
-    for n in range(n_max + 1):
+    for n in range(min(n_max + 1, (len(a) - 1) // 2)):
         for j in (2 * n + 1, 2 * n + 2):
-            diagonal = [1, moment(j)]  # diagonal[m] = H^(j-2m+2)_m
-            if diagonal[1] is None:
-                return
+            diagonal = [1, a[j]]  # diagonal[m] = H^(j-2m+2)_m
             for m in range(1, j // 2 + 1):
                 if older[m - 1] == 0:
-                    yield from islice(_eliminate(moment, divide, n_max), n, None)
+                    yield from islice(_eliminate(a, divide, n_max), n, None)
                     return
                 diagonal.append(divide(older[m] * diagonal[m] - old[m] ** 2, older[m - 1]))
             older, old = old, diagonal
         yield -old[n + 2], old[n + 1]
 
 
-def _eliminate(moment, divide, n_max: int) -> Iterator[tuple]:
+def _eliminate(a: list, divide, n_max: int) -> Iterator[tuple]:
     """Yield (-det M_n, Q_n) for n = 0, 1, ... up to n_max.
 
-    Takes ``_condense``'s arguments. Step n reads a_{2n+1}, then a_{2n+2},
+    Takes ``_condense``'s arguments. Step n takes a_{2n+1} and a_{2n+2}
     and reduces H_n's new row and its border entry B_n by the n finished
     rows, whose frozen entries are, by symmetry, the column it needs. The
     corner steps as c <- (Q_n c - B_n^2) / Q_{n-1} to det M_n. It stops
-    after yielding a pivot that is 0, or at a moment given as None.
+    after yielding a pivot that is 0, or where the list can no longer
+    finish a row.
     """
-    a = [0]  # a_0 = 0, then each moment read
     rows, border = [], []  # rows[k][j]: row k of H after k steps, at column j
     corner = 0
-    for n in range(n_max + 1):
-        for j in (2 * n + 1, 2 * n + 2):
-            a.append(moment(j))
-            if a[-1] is None:
-                return
-        row, b, last = a[n + 2:], a[n + 1], 1
+    for n in range(min(n_max + 1, (len(a) - 1) // 2)):
+        row, b, last = a[n + 2:2 * n + 3], a[n + 1], 1
         for k, done in enumerate(rows):
             head, pivot = row[k], done[k]
             done.append(head)  # row k's column n is row n's column k
@@ -106,35 +103,30 @@ def _eliminate(moment, divide, n_max: int) -> Iterator[tuple]:
             return
 
 
-def _whole(x: Fraction) -> int | Fraction:
-    """The moment x as an int when it is one."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(x, d):
-    """The exact quotient x / d: an int when d divides x and both are ints."""
-    if type(x) is int and type(d) is int:
-        q, r = divmod(x, d)
-        return Fraction(x, d) if r else q
-    return x / d
-
-
 def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fraction]]:
     """Yield (P_n, Q_n) for n = 0 .. n_max in order.
 
-    Step n reads the moments a_{2n+1} and then a_{2n+2}, and no others, so
-    a short sequence fails at the first index it lacks; Q_n <= 0 raises
-    NonPositiveQ after both reads, with the recurrence's squared norm
-    t_n = Q_n / Q_{n-1} (Q_{-1} = 1). Integral entries stay ints inside the
-    rows; each pair leaves as Fractions, since int / int would be a float.
+    Reads a_1 .. a_{2 n_max + 2} before the first row. The table runs on
+    ints with exact ``//`` when every moment read is an integer, and on
+    Fractions otherwise; each pair leaves as Fractions. Q_n <= 0 raises
+    NonPositiveQ, with the recurrence's squared norm t_n = Q_n / Q_{n-1}
+    (Q_{-1} = 1). A short sequence yields every pair its moments support,
+    then raises the IndexOutOfRange of the first moment it lacks.
     """
+    a, short = seq.prefix(2 * n_max + 2)
+    if all(x.denominator == 1 for x in a):
+        a, divide = [0, *(x.numerator for x in a)], operator.floordiv
+    else:
+        a, divide = [0, *a], operator.truediv
     last = 1
-    for n, (P, Q) in enumerate(_condense(lambda j: _whole(seq.moment(j)), _quotient, n_max)):
+    for n, (P, Q) in enumerate(_condense(a, divide, n_max)):
         P, Q = Fraction(P), Fraction(Q)
         if Q <= 0:
             raise NonPositiveQ(n, Q / last)
         yield P, Q
         last = Q
+    if short is not None:
+        raise short
 
 
 # perfbench/test_perfbench.py still calls hankel_P and hankel_Q; ROADMAP item 3 removes them.
@@ -167,10 +159,19 @@ def residue(x: Fraction, p: int) -> int | None:
 def hankel_residues(seq: MomentSequence, n_max: int, p: int) -> Iterator[tuple[int, int]]:
     """Yield (P_n mod p, Q_n mod p) for n = 0, 1, ... up to n_max.
 
-    The same rows as ``hankel_sweep``, over the integers mod the prime p.
-    They stop before a moment whose denominator p divides and after a pivot
-    Q_n that p divides; residues carry no sign, so Q_n is not checked.
+    The same rows as ``hankel_sweep``, over the integers mod the prime p,
+    from the same read of a_1 .. a_{2 n_max + 2}. They stop before a moment
+    whose denominator p divides and after a pivot Q_n that p divides;
+    residues carry no sign, so Q_n is not checked. Rows that reach the end
+    of a short sequence raise as ``hankel_sweep`` does.
     """
-    for P, Q in _condense(lambda j: residue(seq.moment(j), p),
-                          lambda x, d: x * pow(d, -1, p) % p, n_max):
+    a, short = seq.prefix(2 * n_max + 2)
+    reduced = [0, *(residue(x, p) for x in a)]
+    if None in reduced:  # the residues end there, not the moments
+        del reduced[reduced.index(None):]
+        short = None
+    divide, rows = (lambda x, d: x * pow(d, -1, p) % p), 0
+    for rows, (P, Q) in enumerate(_condense(reduced, divide, n_max), 1):
         yield P % p, Q
+    if short is not None and rows == len(a) // 2:
+        raise short

@@ -78,8 +78,8 @@ class MomentSequence:
     ``values`` is any iterable of a_1, a_2, ...: a custom file's list, or a
     built-in family's endless generator. It is read on demand into one list
     of the moments known so far; a moment past its end raises
-    IndexOutOfRange. ``reference`` optionally holds the target constant's
-    decimal string.
+    IndexOutOfRange. The routes read theirs in one ``prefix`` call.
+    ``reference`` optionally holds the target constant's decimal string.
     """
 
     def __init__(self, name: str, values, reference: str | None = None):
@@ -92,16 +92,19 @@ class MomentSequence:
 
     def moment(self, n: int) -> Fraction:
         _check_index(n)
-        known = self._known
-        if len(known) < n:
-            known.extend(islice(self._values, n - len(known)))
-            if len(known) < n:
-                raise IndexOutOfRange(n, len(known))
-        return known[n - 1]
+        known, short = self.prefix(n)
+        if short is not None:
+            raise IndexOutOfRange(n, short.available)
+        return known[-1]
 
-    def moments(self, count: int) -> list[Fraction]:
-        """The first `count` moments a_1 .. a_count."""
-        return [self.moment(n) for n in range(1, count + 1)]
+    def prefix(self, count: int) -> tuple[list[Fraction], IndexOutOfRange | None]:
+        """a_1 .. a_count as far as the sequence goes, and the IndexOutOfRange
+        of the first moment missing (None when none is)."""
+        known = self._known
+        known.extend(islice(self._values, max(count - len(known), 0)))
+        if len(known) < count:
+            return known[:], IndexOutOfRange(len(known) + 1, len(known))
+        return known[:count], None
 
 
 def _by_parts(c: int):

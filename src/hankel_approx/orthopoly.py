@@ -81,8 +81,9 @@ lower entries are built only from zero entries of rows k and k-1, which
 passed the same check, so by induction they are zero. Since q_l is monic,
 the first nonzero one equals <q_{k+1}, q_l> and raises OrthogonalityLost.
 
-The sweep to n_max reads a_1 .. a_{2 n_max + 2} before its first row. A
-short sequence still yields every pair its moments support: step n needs
+The sweep to n_max reads a_1 .. a_{2 n_max + 2} before its first row, in
+one ``MomentSequence.prefix`` call, as ``hankel_sweep`` does. A short
+sequence still yields every pair its moments support: step n needs
 a_{2n+1} for alpha_{n-1} and the check, then a_{2n+2} for t_n, and the
 first one missing raises its IndexOutOfRange there, as if read in turn.
 
@@ -96,7 +97,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import IndexOutOfRange, OrthogonalityLost, PositivityViolation
+from .errors import OrthogonalityLost, PositivityViolation
 from .moments import MomentSequence
 
 
@@ -111,12 +112,7 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
 
     A short sequence yields every pair its moments support, then raises
     the IndexOutOfRange of the first moment it lacks."""
-    moments, short = [], None
-    try:
-        while len(moments) < 2 * n_max + 2:
-            moments.append(seq.moment(len(moments) + 1))
-    except IndexOutOfRange as exc:
-        short = exc
+    moments, short = seq.prefix(2 * n_max + 2)
     d = lcm(*(a.denominator for a in moments))
     N = [a.numerator * (d // a.denominator) for a in moments]
     row = [0] * len(N), 1, 1, 0  # row -1: q_{-1} = 0, t_{-1} = 1, r_{-1} = 0

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import operator
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -175,14 +176,28 @@ def record_coefficients(monkeypatch) -> list:
     return recorded
 
 
+def moment_list(seq, n_max: int) -> list:
+    """a_0 = 0, a_1 .. a_{2 n_max + 2}: the list the determinant tables take."""
+    return [0, *seq.prefix(2 * n_max + 2)[0]]
+
+
+def exact_table(seq, n_max: int) -> tuple:
+    """The moment list and divide that the exact route hands its table:
+    ints and // on integer moments, Fractions and / otherwise."""
+    a = moment_list(seq, n_max)
+    if all(x.denominator == 1 for x in a):
+        return [x.numerator for x in a], operator.floordiv
+    return a, operator.truediv
+
+
 def record_eliminations(monkeypatch) -> list:
     """Return a list that gets one entry per run of the bordered elimination
     ``hankel._eliminate``: True for an exact run, False for one mod a prime."""
     exact, recorded = hankel._eliminate, []
 
-    def recording(moment, divide, n_max):
-        recorded.append(divide is hankel._quotient)
-        return exact(moment, divide, n_max)
+    def recording(a, divide, n_max):
+        recorded.append(divide in (operator.floordiv, operator.truediv))
+        return exact(a, divide, n_max)
 
     monkeypatch.setattr(hankel, "_eliminate", recording)
     return recorded

@@ -23,6 +23,7 @@ against and 2.4 s for the default walks.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 
@@ -38,7 +39,7 @@ from hankel_approx.moments import (
 )
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import record_coefficients, record_eliminations
+from .conftest import exact_table, moment_list, record_coefficients, record_eliminations
 from .golden_values import (
     GAMMA_ROWS,
     GOMPERTZ_ROWS,
@@ -174,10 +175,10 @@ def test_structural_guarantees(det_sweeps, sequences):
 
 
 def test_determinant_routes_match_cofactor_oracle(det_sweeps, sequences):
-    # The elimination in the exact route's arithmetic: integral moments as ints.
+    # The elimination in the exact route's arithmetic: ints and // on
+    # integer moments, Fractions and / otherwise.
     for family, seq in sequences.items():
-        eliminated = list(hankel._eliminate(lambda j: hankel._whole(seq.moment(j)),
-                                            hankel._quotient, 4))
+        eliminated = list(hankel._eliminate(*exact_table(seq, 4), 4))
         for n in range(5):
             oracle = (-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                       cofactor_det(hankel_matrix(seq, 2, n + 1)))
@@ -189,7 +190,7 @@ def test_sweep_matches_per_index_elimination(det_sweeps, sequences):
     # One bordered elimination per family gives every P_n, Q_n up to its top.
     for family, (_, _, top) in FAMILIES.items():
         top = 16 if family == "gamma" else top
-        pairs = list(hankel._eliminate(sequences[family].moment, Fraction.__truediv__, top))
+        pairs = list(hankel._eliminate(moment_list(sequences[family], top), truediv, top))
         assert pairs == det_sweeps[family][:top + 1], family
 
 
@@ -228,14 +229,17 @@ def test_integer_moments_keep_the_exact_sweep_on_ints(sequences, monkeypatch):
     # Integer moments give integer determinants and exact integer
     # quotients: every divide of the exact sweep takes two ints and
     # returns an int, so no Fraction division creeps back in.
-    exact, operands = hankel._quotient, []
+    condense, operands = hankel._condense, []
 
-    def recording(x, d):
-        q = exact(x, d)
-        operands.append((type(x), type(d), type(q)))
-        return q
+    def recording(a, divide, n_max):
+        def recorded(x, d):
+            q = divide(x, d)
+            operands.append((type(x), type(d), type(q)))
+            return q
 
-    monkeypatch.setattr(hankel, "_quotient", recording)
+        return condense(a, recorded, n_max)
+
+    monkeypatch.setattr(hankel, "_condense", recording)
     for family, top in (("factorial", 35), ("gompertz", 48)):
         operands.clear()
         assert len(list(hankel_sweep(sequences[family], top))) == top + 1

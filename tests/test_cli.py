@@ -623,8 +623,8 @@ def test_validate_reports_nonpositive_Q(monkeypatch):
     # own positivity check; validate then exits 2, where approx exits 3.
     condense = hankel._condense
 
-    def negated_Q_1(moment, divide, n_max):
-        for n, (P, Q) in enumerate(condense(moment, divide, n_max)):
+    def negated_Q_1(a, divide, n_max):
+        for n, (P, Q) in enumerate(condense(a, divide, n_max)):
             yield (P, -Q) if n == 1 else (P, Q)
 
     monkeypatch.setattr(hankel, "_condense", negated_Q_1)

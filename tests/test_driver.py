@@ -76,14 +76,14 @@ def test_walk_gaps_shrink():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_run_convergence_methods_agree():
+def test_walk_methods_agree():
     det = list(walk(zeta_sequence(3), 5, "det"))
     ortho = list(ortho_records(zeta_sequence(3), 5))
     assert [r.value for r in det] == [r.value for r in ortho]
     assert [(r.P, r.Q) for r in det] == [(r.P, r.Q) for r in ortho]
 
 
-def test_run_convergence_factorial_has_no_gap():
+def test_walk_factorial_has_no_gap():
     records = list(walk(factorial_sequence(), 4))
     assert all(r.gap is None for r in records)
 
@@ -97,7 +97,7 @@ def test_walk_positivity_violation_carries_records(write_moments_file):
     assert partial[0].value == 1
 
 
-def test_run_convergence_nonpositive_Q_carries_records(write_moments_file):
+def test_walk_nonpositive_Q_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
     partial = []
     with pytest.raises(NonPositiveQ) as excinfo:
@@ -150,7 +150,7 @@ def test_short_flat_file_stops_at_positivity_first(write_moments_file, method):
     assert [r.value for r in partial] == [1]
 
 
-def test_run_convergence_detects_engine_mismatch(skew_residues):
+def test_walk_detects_engine_mismatch(skew_residues):
     skew_residues(0, lambda P, Q: (0, Q))
     partial = []
     with pytest.raises(EngineMismatch) as excinfo:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 
@@ -17,7 +18,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
-from .conftest import ortho_records, record_eliminations, run_cli
+from .conftest import moment_list, ortho_records, record_eliminations, run_cli
 from .oracles import cofactor_det, hankel_matrix
 
 
@@ -55,20 +56,9 @@ def test_bordered_elimination_known_values():
     for a, pairs in cases:
         seq = MomentSequence("known", values=[Fraction(v) for v in a])
         n_max = len(a) // 2 - 1
-        assert list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max)) == pairs, a
+        assert list(hankel._eliminate(moment_list(seq, n_max), truediv, n_max)) == pairs, a
         assert pairs == [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                           cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(len(pairs))]
-
-
-def test_exact_quotient():
-    # Two ints give an int when the divisor divides, the exact Fraction
-    # otherwise; a Fraction on either side gives a Fraction.
-    for x, d, expected in ((-12, 4, -3), (7, 2, Fraction(7, 2)), (7, -2, Fraction(-7, 2)),
-                           (Fraction(7, 2), 7, Fraction(1, 2)), (3, Fraction(3, 2), Fraction(2))):
-        q = hankel._quotient(x, d)
-        assert (q, type(q)) == (expected, type(expected)), (x, d)
-    assert hankel._whole(Fraction(6)) == 6 and type(hankel._whole(Fraction(6))) is int
-    assert hankel._whole(Fraction(1, 6)) == Fraction(1, 6)
 
 
 def test_hankel_P_and_Q_small(gompertz_seq):
@@ -148,6 +138,9 @@ def test_residues_stop_at_a_moment_the_prime_cannot_reduce(monkeypatch):
     rows = [r[:4] for r in walk(seq, 5)]
     assert rows == [r[:4] for r in ortho_records(seq, 5)]
     assert len(rows) == 6
+    # Cut after a_5 the sequence is short as well, but the prime ends the
+    # residues first: the same two rows, and no IndexOutOfRange.
+    assert len(list(hankel.hankel_residues(MomentSequence("cut", values=a[:5]), 5, p))) == 2
 
 
 def test_elimination_stops_at_a_moment_the_prime_cannot_reduce(monkeypatch):
@@ -195,7 +188,7 @@ def test_monotonicity_identity(build, top):
     # twelve moments reach n = 5.
     seq = build()
     swept = list(hankel_sweep(seq, top))
-    eliminated = list(hankel._eliminate(seq.moment, Fraction.__truediv__, top))
+    eliminated = list(hankel._eliminate(moment_list(seq, top), truediv, top))
     for pairs in (swept, eliminated):
         for n in range(1, top + 1):
             (P0, Q0), (P1, Q1) = pairs[n - 1], pairs[n]

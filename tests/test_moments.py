@@ -56,8 +56,8 @@ def test_factorial_moments():
 
 
 def test_recurrences_match_the_closed_forms():
-    assert gompertz_sequence().moments(120) == [gompertz_moment(n) for n in range(1, 121)]
-    assert factorial_sequence().moments(120) == [factorial_moment(n) for n in range(1, 121)]
+    assert gompertz_sequence().prefix(120) == ([gompertz_moment(n) for n in range(1, 121)], None)
+    assert factorial_sequence().prefix(120) == ([factorial_moment(n) for n in range(1, 121)], None)
     # The gamma and zeta sums, over one common denominator, against the
     # same sums added term by term.
     assert [gamma_moment(n) for n in range(1, 121)] == [
@@ -107,8 +107,8 @@ def test_sequence_caching_is_stable():
     seq = gompertz_sequence()
     first = seq.moment(5)
     assert seq.moment(5) == first
-    assert seq.moments(5) == [1, 2, 5, 16, 65]
-    assert len(seq.moments(3)) == 3
+    assert seq.prefix(5) == ([1, 2, 5, 16, 65], None)
+    assert len(seq.prefix(3)[0]) == 3
 
 
 def test_fixed_sequence_bounds():
@@ -124,13 +124,15 @@ def test_fixed_sequence_bounds():
 
 def test_sequence_over_a_finite_generator_runs_out():
     seq = MomentSequence("short", (Fraction(n) for n in range(1, 4)))
-    assert seq.moments(2) == [1, 2]
+    assert seq.prefix(2) == ([1, 2], None)
     for _ in range(2):  # the exhausted generator gives the same error again
         with pytest.raises(IndexOutOfRange) as excinfo:
             seq.moment(5)
         assert excinfo.value.requested == 5
         assert excinfo.value.available == 3
-    assert seq.moments(3) == [1, 2, 3]
+    assert seq.prefix(3) == ([1, 2, 3], None)
+    values, short = seq.prefix(5)  # as far as it goes, and the first moment missing
+    assert values == [1, 2, 3] and (short.requested, short.available) == (4, 3)
 
 
 def test_references():
@@ -148,7 +150,7 @@ def test_load_moments_roundtrip(write_moments_file):
     path = write_moments_file("mine", ["1", "2", "5", "31/6"], reference="0.5963473623")
     seq = load_moments(path)
     assert seq.name == "mine"
-    assert seq.moments(4) == [1, 2, 5, Fraction(31, 6)]
+    assert seq.prefix(4) == ([1, 2, 5, Fraction(31, 6)], None)
     assert seq.reference.as_fraction() == Fraction(5963473623, 10**10)
 
 

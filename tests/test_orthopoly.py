@@ -8,7 +8,8 @@ import pytest
 
 from hankel_approx import orthopoly
 from hankel_approx.errors import IndexOutOfRange, OrthogonalityLost, PositivityViolation
-from hankel_approx.hankel import hankel_sweep
+from hankel_approx.driver import CHECK_PRIME
+from hankel_approx.hankel import hankel_residues, hankel_sweep, residue
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
@@ -204,8 +205,14 @@ def test_both_routes_stop_alike_on_every_short_sequence(request, family, length)
     # a_1 .. a_L support the pairs n < L // 2; the first moment missing is a_{L+1}.
     full = request.getfixturevalue(f"{family}_seq")
     seq = MomentSequence(f"{family}-{length}", values=[full.moment(i) for i in range(1, length + 1)])
+
+    # The residues mod a prime are a third route and stop the same way,
+    # each row the residues of the exact pair.
+    def residues(seq, n_max):
+        return hankel_residues(seq, n_max, CHECK_PRIME)
+
     yielded = []
-    for sweep in (ortho_sweep, hankel_sweep):
+    for sweep in (ortho_sweep, hankel_sweep, residues):
         pairs = []
         with pytest.raises(IndexOutOfRange) as excinfo:
             for pair in sweep(seq, 3):
@@ -214,6 +221,7 @@ def test_both_routes_stop_alike_on_every_short_sequence(request, family, length)
         yielded.append(pairs)
     assert len(yielded[0]) == length // 2
     assert yielded[0] == yielded[1]
+    assert yielded[2] == [tuple(residue(x, CHECK_PRIME) for x in pair) for pair in yielded[0]]
 
 
 def test_product_of_squared_norms_equals_hankel_Q(gompertz_seq):

@@ -18,6 +18,7 @@ a_1 .. a_{2N+2} that n = 0 .. N need.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,7 @@ from hankel_approx.hankel import hankel_residues, hankel_sweep
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import collect, ortho_records, skew_rows
+from .conftest import collect, exact_table, moment_list, ortho_records, skew_rows
 from .oracles import cofactor_det, hankel_matrix
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
@@ -164,7 +165,7 @@ def test_sweep_equals_per_index_determinants(case):
     # sweep must give the same rows and stop at its first Q_n <= 0.
     seq, n_max = case
     rows, failed_at = determinant_run(hankel_sweep(seq, n_max))
-    expected = list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max))
+    expected = list(hankel._eliminate(moment_list(seq, n_max), truediv, n_max))
     first_bad = next((n for n, (_, Q) in enumerate(expected) if Q <= 0), None)
     assert failed_at == first_bad
     assert rows == expected[:first_bad]
@@ -177,7 +178,7 @@ def test_elimination_matches_cofactor_expansion(case):
     # after a pivot Q_n = 0.
     seq, n_max = case
     n_max = min(n_max, 4)
-    pairs = list(hankel._eliminate(seq.moment, Fraction.__truediv__, n_max))
+    pairs = list(hankel._eliminate(moment_list(seq, n_max), truediv, n_max))
     expected = [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                  cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(n_max + 1)]
     stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
@@ -207,11 +208,10 @@ def test_sweep_matches_cofactor_expansion_on_integral_moments(case):
 @small_and_fast
 @given(integral_sequences)
 def test_integer_elimination_matches_cofactor_expansion(case):
-    # The bordered elimination as the exact route runs it: integral
-    # moments as ints, divided by the exact quotient.
+    # The bordered elimination as the exact route runs it: ints and // on
+    # integer moments, Fractions and / otherwise.
     seq, n_max = case
-    pairs = list(hankel._eliminate(lambda j: hankel._whole(seq.moment(j)),
-                                   hankel._quotient, n_max))
+    pairs = list(hankel._eliminate(*exact_table(seq, n_max), n_max))
     expected = cofactor_pairs(seq, n_max)
     stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
     assert pairs == expected[:stop]
