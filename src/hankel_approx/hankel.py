@@ -30,11 +30,11 @@ and one-step fraction-free elimination (Bareiss 1968) grows M_n by one row
 and column per n, O(n^2) operations per step. Its pivots are Q_0, Q_1, ...,
 so it never searches for one.
 
-Both algorithms take the list a_0 = 0, a_1 .. a_{2N+2}, read in one
-``MomentSequence.prefix`` call, and stop where it ends. On integer moments
-every division is exact (Sylvester's identity), so the exact route runs on
-ints and ``//`` when every moment is an integer, on Fractions and ``/``
-otherwise.
+Both algorithms take the list a_0 = 0, a_1 .. a_L, read in one
+``MomentSequence.prefix`` call, and run as far as it goes, to the rows
+n < L/2. On integer moments every division is exact (Sylvester's
+identity), so the exact route runs on ints and ``//`` there, and on
+Fractions and ``/`` otherwise.
 
 ``hankel_residues`` runs the same two algorithms on the moments reduced
 mod a prime p, dividing by modular inverses: its entries stay below p
@@ -52,40 +52,39 @@ from .errors import NonPositiveQ
 from .moments import MomentSequence
 
 
-def _condense(a: list, divide, n_max: int) -> Iterator[tuple]:
-    """Yield (-H^(0)_{n+2}, H^(2)_{n+1}) for n = 0, 1, ... up to n_max.
+def _condense(a: list, divide) -> Iterator[tuple]:
+    """Yield (-H^(0)_{n+2}, H^(2)_{n+1}) for n = 0, 1, ... as far as the list goes.
 
-    ``a`` is the list a_0 = 0, a_1, ... and ``divide`` the quotient of two
-    entries, in whichever arithmetic the caller works. The rows stop where
-    the list can no longer finish one; at a zero divisor the rest, from the
-    row the table cannot finish, come from ``_eliminate`` on the same list.
+    ``a`` is the list a_0 = 0, a_1 .. a_L, which finishes the rows n < L/2,
+    and ``divide`` the quotient of two entries, in whichever arithmetic the
+    caller works. At a zero divisor the rest, from the row the table cannot
+    finish, come from ``_eliminate`` on the same list.
     """
     older, old = None, [1, 0]  # anti-diagonals j - 2 and j - 1; a_0 = 0
-    for n in range(min(n_max + 1, (len(a) - 1) // 2)):
+    for n in range((len(a) - 1) // 2):
         for j in (2 * n + 1, 2 * n + 2):
             diagonal = [1, a[j]]  # diagonal[m] = H^(j-2m+2)_m
             for m in range(1, j // 2 + 1):
                 if older[m - 1] == 0:
-                    yield from islice(_eliminate(a, divide, n_max), n, None)
+                    yield from islice(_eliminate(a, divide), n, None)
                     return
                 diagonal.append(divide(older[m] * diagonal[m] - old[m] ** 2, older[m - 1]))
             older, old = old, diagonal
         yield -old[n + 2], old[n + 1]
 
 
-def _eliminate(a: list, divide, n_max: int) -> Iterator[tuple]:
-    """Yield (-det M_n, Q_n) for n = 0, 1, ... up to n_max.
+def _eliminate(a: list, divide) -> Iterator[tuple]:
+    """Yield (-det M_n, Q_n) for n = 0, 1, ... as far as the list goes.
 
     Takes ``_condense``'s arguments. Step n takes a_{2n+1} and a_{2n+2}
     and reduces H_n's new row and its border entry B_n by the n finished
     rows, whose frozen entries are, by symmetry, the column it needs. The
     corner steps as c <- (Q_n c - B_n^2) / Q_{n-1} to det M_n. It stops
-    after yielding a pivot that is 0, or where the list can no longer
-    finish a row.
+    early after yielding a pivot that is 0.
     """
     rows, border = [], []  # rows[k][j]: row k of H after k steps, at column j
     corner = 0
-    for n in range(min(n_max + 1, (len(a) - 1) // 2)):
+    for n in range((len(a) - 1) // 2):
         row, b, last = a[n + 2:2 * n + 3], a[n + 1], 1
         for k, done in enumerate(rows):
             head, pivot = row[k], done[k]
@@ -119,7 +118,7 @@ def hankel_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple[Fraction, Fr
     else:
         a, divide = [0, *a], operator.truediv
     last = 1
-    for n, (P, Q) in enumerate(_condense(a, divide, n_max)):
+    for n, (P, Q) in enumerate(_condense(a, divide)):
         P, Q = Fraction(P), Fraction(Q)
         if Q <= 0:
             raise NonPositiveQ(n, Q / last)
@@ -171,7 +170,7 @@ def hankel_residues(seq: MomentSequence, n_max: int, p: int) -> Iterator[tuple[i
         del reduced[reduced.index(None):]
         short = None
     divide, rows = (lambda x, d: x * pow(d, -1, p) % p), 0
-    for rows, (P, Q) in enumerate(_condense(reduced, divide, n_max), 1):
+    for rows, (P, Q) in enumerate(_condense(reduced, divide), 1):
         yield P % p, Q
     if short is not None and rows == len(a) // 2:
         raise short

@@ -90,6 +90,7 @@ class MomentSequence:
             ReferenceConstant(reference) if reference is not None else None
         )
 
+    # perfbench/spans.py still reads a loaded sequence through moment; ROADMAP item 3 removes it.
     def moment(self, n: int) -> Fraction:
         _check_index(n)
         known, short = self.prefix(n)

@@ -82,10 +82,10 @@ passed the same check, so by induction they are zero. Since q_l is monic,
 the first nonzero one equals <q_{k+1}, q_l> and raises OrthogonalityLost.
 
 The sweep to n_max reads a_1 .. a_{2 n_max + 2} before its first row, in
-one ``MomentSequence.prefix`` call, as ``hankel_sweep`` does. A short
-sequence still yields every pair its moments support: step n needs
-a_{2n+1} for alpha_{n-1} and the check, then a_{2n+2} for t_n, and the
-first one missing raises its IndexOutOfRange there, as if read in turn.
+one ``MomentSequence.prefix`` call, as ``hankel_sweep`` does. Row n needs
+a_1 .. a_{2n+2}, so L moments support the rows n < L/2: a short sequence
+yields those pairs, then raises the IndexOutOfRange of the first moment
+it lacks.
 
 Positive definiteness of the form is exactly the hypothesis that makes the
 construction work. It is not assumed: the first nonpositive t_n raises
@@ -101,8 +101,8 @@ from .errors import OrthogonalityLost, PositivityViolation
 from .moments import MomentSequence
 
 
-def _coefficients(row: tuple, prev: tuple, k: int) -> tuple:
-    """(alpha_k, beta_k) read off rows k and k-1, each (numerators of
+def _coefficients(row: tuple, prev: tuple) -> tuple:
+    """(alpha_k, beta_k) read off rows k and k-1 alone, each (numerators of
     sigma_{k,l} from l = -1 on, denominator, t_k, sigma_{k,k+1}/t_k)."""
     return row[3] - prev[3], row[2] / prev[2]
 
@@ -117,11 +117,9 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
     N = [a.numerator * (d // a.denominator) for a in moments]
     row = [0] * len(N), 1, 1, 0  # row -1: q_{-1} = 0, t_{-1} = 1, r_{-1} = 0
     partial_sum, norm = Fraction(0), Fraction(1)
-    for n in range(n_max + 1):
+    for n in range(len(moments) // 2):  # row n needs a_1 .. a_{2n+2}
         if n:
-            if len(N) < n + 2:  # alpha_{n-1} needs a_{2n+1}
-                raise short
-            alpha, beta = _coefficients(row, prev, n - 1)
+            alpha, beta = _coefficients(row, prev)
             M, e = prev[:2]
             f = gcd(beta.numerator, e)
             X, Y = alpha.denominator * d, beta.denominator * (e // f)
@@ -138,8 +136,6 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
                 g = gcd(h, *(r for _, r in qr))
                 c = h // g
                 N, d = [q * c + r // g for q, r in qr], C // g
-        if len(N) < n + 2:  # t_n needs a_{2n+2}
-            raise short
         t_n = Fraction(N[n + 1], d)
         if t_n <= 0:
             raise PositivityViolation(n, t_n)
@@ -147,3 +143,5 @@ def ortho_sweep(seq: MomentSequence, n_max: int) -> Iterator[tuple]:
         partial_sum += Fraction(N[0] ** 2, d * N[n + 1])
         norm *= t_n
         yield partial_sum * norm, norm
+    if short is not None:
+        raise short

@@ -109,8 +109,10 @@ def skew_coefficient(monkeypatch, bad_k: int, which: int) -> None:
     (``which`` 1); every other coefficient stays exact."""
     exact = orthopoly._coefficients
 
-    def skewed(row, prev, k):
-        pair = list(exact(row, prev, k))
+    def skewed(row, prev):
+        pair = list(exact(row, prev))
+        # Entries 1..k of row k are zeros and entry k + 1, t_k d_k, is positive.
+        k = next(j for j, x in enumerate(row[0][1:]) if x)
         if k == bad_k:
             pair[which] += 1
         return tuple(pair)
@@ -168,8 +170,8 @@ def record_coefficients(monkeypatch) -> list:
     appended to, in order; the values themselves stay exact."""
     exact, recorded = orthopoly._coefficients, []
 
-    def recording(row, prev, k):
-        recorded.append(exact(row, prev, k))
+    def recording(row, prev):
+        recorded.append(exact(row, prev))
         return recorded[-1]
 
     monkeypatch.setattr(orthopoly, "_coefficients", recording)
@@ -195,9 +197,9 @@ def record_eliminations(monkeypatch) -> list:
     ``hankel._eliminate``: True for an exact run, False for one mod a prime."""
     exact, recorded = hankel._eliminate, []
 
-    def recording(a, divide, n_max):
+    def recording(a, divide):
         recorded.append(divide in (operator.floordiv, operator.truediv))
-        return exact(a, divide, n_max)
+        return exact(a, divide)
 
     monkeypatch.setattr(hankel, "_eliminate", recording)
     return recorded

@@ -178,7 +178,7 @@ def test_determinant_routes_match_cofactor_oracle(det_sweeps, sequences):
     # The elimination in the exact route's arithmetic: ints and // on
     # integer moments, Fractions and / otherwise.
     for family, seq in sequences.items():
-        eliminated = list(hankel._eliminate(*exact_table(seq, 4), 4))
+        eliminated = list(hankel._eliminate(*exact_table(seq, 4)))
         for n in range(5):
             oracle = (-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                       cofactor_det(hankel_matrix(seq, 2, n + 1)))
@@ -190,7 +190,7 @@ def test_sweep_matches_per_index_elimination(det_sweeps, sequences):
     # One bordered elimination per family gives every P_n, Q_n up to its top.
     for family, (_, _, top) in FAMILIES.items():
         top = 16 if family == "gamma" else top
-        pairs = list(hankel._eliminate(moment_list(sequences[family], top), truediv, top))
+        pairs = list(hankel._eliminate(moment_list(sequences[family], top), truediv))
         assert pairs == det_sweeps[family][:top + 1], family
 
 
@@ -231,13 +231,13 @@ def test_integer_moments_keep_the_exact_sweep_on_ints(sequences, monkeypatch):
     # returns an int, so no Fraction division creeps back in.
     condense, operands = hankel._condense, []
 
-    def recording(a, divide, n_max):
+    def recording(a, divide):
         def recorded(x, d):
             q = divide(x, d)
             operands.append((type(x), type(d), type(q)))
             return q
 
-        return condense(a, recorded, n_max)
+        return condense(a, recorded)
 
     monkeypatch.setattr(hankel, "_condense", recording)
     for family, top in (("factorial", 35), ("gompertz", 48)):

@@ -83,6 +83,8 @@ def test_benchmark_calls_into_the_package_outside_the_cli(capsys):
     ``perfbench/test_perfbench.py`` reads single determinants through
     ``hankel.hankel_P`` and ``hankel_Q``, the gompertz reference through
     ``reference.as_fraction()`` and moments through ``gamma_moment``;
+    ``perfbench/spans.py`` reads a loaded sequence through
+    ``MomentSequence.moment(n)`` until it raises IndexError;
     ``perfbench/run.py --trace 1`` runs a command through click's entry
     point ``cli.main.main``. None of them serves the package itself, so a
     change that trims the package fails here before it breaks the
@@ -93,6 +95,10 @@ def test_benchmark_calls_into_the_package_outside_the_cli(capsys):
     assert (hankel.hankel_P(seq, 1), hankel.hankel_Q(seq, 1)) == (4, 7)
     assert seq.reference.as_fraction() == Fraction(5963473623, 10**10)
     assert moments.gamma_moment(1) == Fraction(1, 2)
+    loaded = moments.MomentSequence("mine", [Fraction(1), Fraction(7, 2)])
+    assert [loaded.moment(1), loaded.moment(2)] == [1, Fraction(7, 2)]
+    with pytest.raises(IndexError):
+        loaded.moment(3)
     code = cli.main.main(args=["approx", "--family", "gompertz", "--n-max", "1"],
                          prog_name="hankel-approx", standalone_mode=False)
     assert code is None

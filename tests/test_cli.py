@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hankel_approx
-from hankel_approx import cli, driver, hankel
+from hankel_approx import cli, driver, hankel, moments
 from hankel_approx.cli import FAMILIES, MAX_DIGITS
 from hankel_approx.driver import CHECK_PRIME, render
 from hankel_approx.errors import PositivityViolation
@@ -507,6 +507,22 @@ def test_moments_custom(write_moments_file):
     assert over.exit_code == 4
 
 
+@pytest.mark.parametrize("command", [["approx"], ["approx", "--method", "det"], ["validate"]])
+def test_each_moment_is_generated_once_per_command(monkeypatch, command):
+    # Every route of a command reads the one sequence's memo: a route that
+    # generated its moments again would change no output, only the time.
+    generate, calls = moments.gamma_moment, []
+
+    def counted(n):
+        calls.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(moments, "gamma_moment", counted)
+    res = run_cli([*command, "--family", "gamma", "--n-max", "5"])
+    assert res.exit_code == 0, res.stderr
+    assert calls == list(range(1, 13))
+
+
 def test_validate_passes_builtin():
     res = run_cli(["validate", "--family", "gompertz", "--n-max", "5"])
     assert res.exit_code == 0
@@ -623,8 +639,8 @@ def test_validate_reports_nonpositive_Q(monkeypatch):
     # own positivity check; validate then exits 2, where approx exits 3.
     condense = hankel._condense
 
-    def negated_Q_1(a, divide, n_max):
-        for n, (P, Q) in enumerate(condense(a, divide, n_max)):
+    def negated_Q_1(a, divide):
+        for n, (P, Q) in enumerate(condense(a, divide)):
             yield (P, -Q) if n == 1 else (P, Q)
 
     monkeypatch.setattr(hankel, "_condense", negated_Q_1)

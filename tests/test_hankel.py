@@ -56,7 +56,7 @@ def test_bordered_elimination_known_values():
     for a, pairs in cases:
         seq = MomentSequence("known", values=[Fraction(v) for v in a])
         n_max = len(a) // 2 - 1
-        assert list(hankel._eliminate(moment_list(seq, n_max), truediv, n_max)) == pairs, a
+        assert list(hankel._eliminate(moment_list(seq, n_max), truediv)) == pairs, a
         assert pairs == [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                           cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(len(pairs))]
 
@@ -188,7 +188,7 @@ def test_monotonicity_identity(build, top):
     # twelve moments reach n = 5.
     seq = build()
     swept = list(hankel_sweep(seq, top))
-    eliminated = list(hankel._eliminate(moment_list(seq, top), truediv, top))
+    eliminated = list(hankel._eliminate(moment_list(seq, top), truediv))
     for pairs in (swept, eliminated):
         for n in range(1, top + 1):
             (P0, Q0), (P1, Q1) = pairs[n - 1], pairs[n]

@@ -117,9 +117,9 @@ def rows(monkeypatch, coefficients):
     where ``_coefficients`` reads it, alongside the recorded coefficients."""
     recording, recorded = orthopoly._coefficients, []
 
-    def reading(row, prev, k):
+    def reading(row, prev):
         recorded.append(row[:2])
-        return recording(row, prev, k)
+        return recording(row, prev)
 
     monkeypatch.setattr(orthopoly, "_coefficients", reading)
     return recorded

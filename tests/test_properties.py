@@ -165,7 +165,7 @@ def test_sweep_equals_per_index_determinants(case):
     # sweep must give the same rows and stop at its first Q_n <= 0.
     seq, n_max = case
     rows, failed_at = determinant_run(hankel_sweep(seq, n_max))
-    expected = list(hankel._eliminate(moment_list(seq, n_max), truediv, n_max))
+    expected = list(hankel._eliminate(moment_list(seq, n_max), truediv))
     first_bad = next((n for n, (_, Q) in enumerate(expected) if Q <= 0), None)
     assert failed_at == first_bad
     assert rows == expected[:first_bad]
@@ -178,7 +178,7 @@ def test_elimination_matches_cofactor_expansion(case):
     # after a pivot Q_n = 0.
     seq, n_max = case
     n_max = min(n_max, 4)
-    pairs = list(hankel._eliminate(moment_list(seq, n_max), truediv, n_max))
+    pairs = list(hankel._eliminate(moment_list(seq, n_max), truediv))
     expected = [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
                  cofactor_det(hankel_matrix(seq, 2, n + 1))) for n in range(n_max + 1)]
     stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
@@ -211,7 +211,7 @@ def test_integer_elimination_matches_cofactor_expansion(case):
     # The bordered elimination as the exact route runs it: ints and // on
     # integer moments, Fractions and / otherwise.
     seq, n_max = case
-    pairs = list(hankel._eliminate(*exact_table(seq, n_max), n_max))
+    pairs = list(hankel._eliminate(*exact_table(seq, n_max)))
     expected = cofactor_pairs(seq, n_max)
     stop = next((n + 1 for n, (_, Q) in enumerate(expected) if Q == 0), n_max + 1)
     assert pairs == expected[:stop]
