@@ -47,9 +47,9 @@ FORMATS = ("table", "csv", "json")
 # approx's default check compares both routes mod this fixed (Mersenne) prime.
 CHECK_PRIME = 2**61 - 1
 
-# One convergence row: index n, exact P_n and Q_n, their ratio ``value``, the
-# ``gap`` to the target (None without a reference) and the ``method`` used.
-ApproximantRecord = namedtuple("ApproximantRecord", "n P Q value gap method")
+# One convergence row: index n, exact P_n and Q_n, their ratio ``value`` and
+# the ``gap`` to the target (None without a reference); both routes give it alike.
+ApproximantRecord = namedtuple("ApproximantRecord", "n P Q value gap")
 
 
 def _determinant_checks(seq, n_max: int, exact: bool):
@@ -102,7 +102,7 @@ def walk(seq: MomentSequence, n_max: int, method: str = "both", exact: bool = Fa
         P, Q = pair
         value = P / Q
         gap = ref_value - value if ref_value is not None else None
-        yield ApproximantRecord(n, P, Q, value, gap, method)
+        yield ApproximantRecord(n, P, Q, value, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,6 @@ def render(records, format: str = "table", digits: int = DEFAULT_DIGITS):
                     "value": format_rational(r.value),
                     "decimal": rat_to_decimal(r.value, digits),
                     "gap": format_rational(r.gap) if r.gap is not None else None,
-                    "method": r.method,
                 }], indent=2)[2:-2]
             yield lead + text
             lead = sep

@@ -155,7 +155,7 @@ def ortho_records(seq, n_max: int):
     An abortive error comes after the records before it, as from the
     driver's walk."""
     for n, (P, Q) in enumerate(orthopoly.ortho_sweep(seq, n_max)):
-        yield ApproximantRecord(n, P, Q, P / Q, None, "ortho")
+        yield ApproximantRecord(n, P, Q, P / Q, None)
 
 
 def collect(rows, into: list) -> None:
@@ -176,6 +176,17 @@ def record_coefficients(monkeypatch) -> list:
 
     monkeypatch.setattr(orthopoly, "_coefficients", recording)
     return recorded
+
+
+def moment(seq, n: int):
+    """a_n, the last of ``seq.prefix(n)``: a ValueError for n < 1 and the
+    sequence's IndexOutOfRange where it holds fewer than n moments."""
+    if n < 1:
+        raise ValueError(f"moments are defined for n >= 1, got {n}")
+    known, short = seq.prefix(n)
+    if short is not None:
+        raise short
+    return known[-1]
 
 
 def moment_list(seq, n_max: int) -> list:

@@ -25,10 +25,12 @@ from scipy.integrate import quad
 from hankel_approx.driver import ApproximantRecord
 from hankel_approx.exactnum import parse_rational
 
+from .conftest import moment
+
 
 def hankel_matrix(seq, shift: int, order: int) -> list[list[Fraction]]:
     """(a_{shift+i+j})_{i,j<order} as rows, with a_0 = 0."""
-    return [[seq.moment(shift + i + j) if shift + i + j else Fraction(0)
+    return [[moment(seq, shift + i + j) if shift + i + j else Fraction(0)
              for j in range(order)] for i in range(order)]
 
 
@@ -72,7 +74,7 @@ def inner_product(f, g, seq) -> Fraction:
                 if gj:
                     conv[i + j] += fi * gj
     return sum(
-        (c * seq.moment(d + 2) for d, c in enumerate(conv) if c), Fraction(0)
+        (c * moment(seq, d + 2) for d, c in enumerate(conv) if c), Fraction(0)
     )
 
 
@@ -104,7 +106,6 @@ def records_from_json(text: str) -> list:
             Q=parse_rational(row["Q"]),
             value=parse_rational(row["value"]),
             gap=parse_rational(row["gap"]) if row.get("gap") else None,
-            method=row["method"],
         )
         for row in json.loads(text)
     ]

@@ -342,6 +342,22 @@ def test_approx_short_custom_sequence_of_odd_length(write_moments_file):
     assert res.stderr == "error: positive definiteness fails at degree 1: squared norm 0 <= 0\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_approx_prints_the_same_output_whatever_the_method(write_moments_file, fmt):
+    # A row does not say which route made it: det prints what the default
+    # prints, errors and exit codes included, on a table with a zero divisor
+    # (a symmetric file) and on a file whose Q_0 is negative too.
+    files = {name: write_moments_file(name, a, filename=f"{name}.json") for name, a in (
+        ("symmetric", ["0", "1", "0", "2", "0", "5", "0", "14"]),
+        ("negative-Q", ["1", "-1", "1", "1"]))}
+    sources = [["--family", "gamma"], ["--family", "gompertz"], ["--family", "zeta", "--k", "3"],
+               ["--family", "factorial"],
+               *(["--family", "custom", "--moments-file", str(path)] for path in files.values())]
+    for source in sources:
+        args = ["approx", *source, "--n-max", "3", "--format", fmt]
+        assert run_cli([*args, "--method", "det"]) == run_cli(args), source
+
+
 def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
         write_moments_file):
     # A weight of 1/CHECK_PRIME puts the prime in every moment's denominator,

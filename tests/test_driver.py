@@ -49,13 +49,12 @@ def test_runs_reject_bad_input():
         list(walk(gompertz_sequence(), 3, "magic"))
 
 
-def test_walk_default_method(write_moments_file):
-    assert {r.method for r in walk(gompertz_sequence(), 2)} == {"both"}
-    det = list(walk(gompertz_sequence(), 2, "det"))
-    assert {r.method for r in det} == {"det"}
+def test_walk_routes_yield_the_same_records(write_moments_file):
     path = write_moments_file("mine", ["1", "2", "5", "16"])
-    custom = list(walk(load_moments(path), 1))
-    assert {r.method for r in custom} == {"both"}
+    for seq, n_max in ((gompertz_sequence, 2), (lambda: load_moments(path), 1)):
+        both = list(walk(seq(), n_max))
+        assert len(both) == n_max + 1
+        assert list(walk(seq(), n_max, "det")) == both
 
 
 def test_walk_matches_known_rows():
@@ -66,7 +65,6 @@ def test_walk_matches_known_rows():
         assert r.value == Fraction(frac)
         assert r.P / r.Q == r.value
         assert rat_to_decimal(r.value) == decimal
-        assert r.method == "both"
         assert r.gap is not None and r.gap > 0
 
 
@@ -276,8 +274,8 @@ def json_document(records) -> str:
     newline: the text the json renderer must give, piece by piece."""
     return json.dumps([{
         "n": r.n, "P": str(Fraction(r.P)), "Q": str(Fraction(r.Q)), "value": str(r.value),
-        "decimal": rat_to_decimal(r.value), "gap": None if r.gap is None else str(r.gap),
-        "method": r.method} for r in records], indent=2) + "\n"
+        "decimal": rat_to_decimal(r.value), "gap": None if r.gap is None else str(r.gap)}
+        for r in records], indent=2) + "\n"
 
 
 def test_render_json_is_json_dumps_one_element_at_a_time():

@@ -18,6 +18,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
+from .conftest import moment
 from .oracles import (
     factorial_moment,
     gamma_moment_quad,
@@ -67,8 +68,8 @@ def test_recurrences_match_the_closed_forms():
             zeta_moment_terms(k, n) for n in range(1, 121)]
 
 
-@pytest.mark.parametrize("fn", [gamma_moment, lambda n: gompertz_sequence().moment(n),
-                                lambda n: factorial_sequence().moment(n)],
+@pytest.mark.parametrize("fn", [gamma_moment, lambda n: moment(gompertz_sequence(), n),
+                                lambda n: moment(factorial_sequence(), n)],
                          ids=["gamma_moment", "gompertz_sequence", "factorial_sequence"])
 def test_moment_index_lower_bound(fn):
     with pytest.raises(ValueError):
@@ -93,7 +94,7 @@ def test_gamma_moments_match_quadrature():
 def test_gompertz_moments_match_quadrature():
     for n in range(1, 7):
         value, err = gompertz_moment_quad(n)
-        assert abs(float(gompertz_sequence().moment(n)) - value) <= max(1e-9, 10 * err)
+        assert abs(float(moment(gompertz_sequence(), n)) - value) <= max(1e-9, 10 * err)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -13,7 +13,7 @@ from hankel_approx.hankel import hankel_residues, hankel_sweep, residue
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import measure_ortho_moments
+from .conftest import measure_ortho_moments, moment
 from .oracles import inner_product, polynomials
 
 
@@ -22,7 +22,7 @@ def explicit_form(f, g, seq):
     total = Fraction(0)
     for i, fi in enumerate(f):
         for j, gj in enumerate(g):
-            total += Fraction(fi) * Fraction(gj) * seq.moment(i + j + 2)
+            total += Fraction(fi) * Fraction(gj) * moment(seq, i + j + 2)
     return total
 
 
@@ -145,7 +145,7 @@ def test_every_row_is_reduced_and_holds_the_mixed_moments(request, workloads, co
         # Row k holds sigma_{k,l} = <q_k, x^l>, l = -1 .. 2 n_max - k, at N[l + 1].
         assert len(N) == 2 * n_max + 2 - k
         # s_k = sigma_{k,-1} = L(x q_k) = sum_j c_j a_{j+1}.
-        s_k = sum(c * seq.moment(j + 1) for j, c in enumerate(polys[k]))
+        s_k = sum(c * moment(seq, j + 1) for j, c in enumerate(polys[k]))
         assert Fraction(N[0], d) == s_k, (family, k)
         assert N[1:k + 1] == [0] * k, (family, k)
         for l in range(k, len(N) - 1):
@@ -204,7 +204,7 @@ def test_engines_agree_small(gamma_seq, gompertz_seq, zeta2_seq, factorial_seq):
 def test_both_routes_stop_alike_on_every_short_sequence(request, family, length):
     # a_1 .. a_L support the pairs n < L // 2; the first moment missing is a_{L+1}.
     full = request.getfixturevalue(f"{family}_seq")
-    seq = MomentSequence(f"{family}-{length}", values=[full.moment(i) for i in range(1, length + 1)])
+    seq = MomentSequence(f"{family}-{length}", values=[moment(full, i) for i in range(1, length + 1)])
 
     # The residues mod a prime are a third route and stop the same way,
     # each row the residues of the exact pair.
