@@ -9,7 +9,7 @@ import re
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 
-from .driver import FORMATS, METHODS, cross_validate, render, walk
+from .driver import FORMATS, cross_validate, render, walk
 from .errors import (
     EXIT_IO,
     EXIT_POSITIVITY,
@@ -99,7 +99,7 @@ def approx(args):
     """Compute approximants P_n/Q_n for n = 0 .. N_MAX."""
     seq = _sequence(args)
     try:
-        for text in render(walk(seq, args.n_max, args.method), args.fmt, args.digits):
+        for text in render(walk(seq, args.n_max), args.fmt, args.digits):
             sys.stdout.write(text)
             sys.stdout.flush()  # a pipe or file is block-buffered: send each row now
     except RunStopped as exc:
@@ -173,8 +173,9 @@ def main(argv=None):
     sub = _command(commands, approx)
     sub.add_argument("--n-max", type=_integer(0), required=True,
                      help="Highest approximant index to compute.")
-    sub.add_argument("--method", choices=METHODS, default="both", help="det: exact determinants, "
-                     "unchecked; both (default): exact recurrence checked mod 2^61 - 1.")
+    # perfbench's factorial-det still passes --method det; ROADMAP items 3a and 4 remove the option.
+    sub.add_argument("--method", choices=("det", "both"), default="both",
+                     help="Ignored: every run checks the exact recurrence mod 2^61 - 1.")
     sub.add_argument("--digits", type=_integer(1, MAX_DIGITS), default=DEFAULT_DIGITS,
                      help=f"Decimal places, 1<=x<={MAX_DIGITS} (default: {DEFAULT_DIGITS}).")
     sub.add_argument("--format", dest="fmt", choices=FORMATS, default="table",

@@ -4,12 +4,11 @@ The driver walks n = 0 .. n_max for a moment sequence, producing one
 ApproximantRecord per index. Each route is one pass over the moments: the
 determinant sweep (``hankel_sweep``, a condensation table) and the
 recurrence (``ortho_sweep``, a mixed-moment table). One walk serves both
-``approx`` and ``validate``: with ``method="both"``, every family's
-default, the two routes advance in lock step, and at every index the
-recurrence's (A_n N_n, N_n), where N_n is the running product of its
-squared norms, must equal the determinants' (P_n, Q_n); a disagreement
-aborts the run. ``validate`` compares the two pairs exactly. ``approx``
-compares them mod the prime CHECK_PRIME = 2^61 - 1 and runs the
+``approx`` and ``validate``: the two routes advance in lock step, and at
+every index the recurrence's (A_n N_n, N_n), where N_n is the running
+product of its squared norms, must equal the determinants' (P_n, Q_n); a
+disagreement aborts the run. ``validate`` compares the two pairs exactly.
+``approx`` compares them mod the prime CHECK_PRIME = 2^61 - 1 and runs the
 determinant table mod that prime only (``hankel_residues``), so its cost
 is close to the recurrence's alone; a wrong exact pair escapes it only if
 the prime divides the numerators of both differences to the true pair. A
@@ -25,8 +24,9 @@ Abortive errors (EngineMismatch, OrthogonalityLost, PositivityViolation,
 IndexOutOfRange) are RunStopped errors, raised after the last record the
 walk yielded, so a caller that keeps the rows it was given can still
 report partial progress. Both routes stop at the same first degree with
-t_n <= 0 and the same PositivityViolation; the determinant sweep raises it
-as the subclass NonPositiveQ.
+t_n <= 0 and the same PositivityViolation; the recurrence meets it first,
+so the exact determinant sweep's subclass NonPositiveQ reaches a caller
+only when that sweep is wrong.
 """
 
 from collections import namedtuple
@@ -41,7 +41,6 @@ from .orthopoly import ortho_sweep
 
 ELIDE_THRESHOLD = 40  # table cells longer than this print as "-"
 
-METHODS = ("det", "both")
 FORMATS = ("table", "csv", "json")
 
 # approx's default check compares both routes mod this fixed (Mersenne) prime.
@@ -69,36 +68,27 @@ def _determinant_checks(seq, n_max: int, exact: bool):
         yield None, pair
 
 
-def walk(seq: MomentSequence, n_max: int, method: str = "both", exact: bool = False):
-    """Yield the records for n = 0 .. n_max, in order: from the determinant
-    sweep alone ("det"), or from both routes in lock step ("both").
+def walk(seq: MomentSequence, n_max: int, *, exact: bool = False):
+    """Yield the records for n = 0 .. n_max, in order, from both routes in
+    lock step.
 
-    With "both" the recurrence produces every record, and at each n its
-    (A_n N_n, N_n) must equal the determinants' (P_n, Q_n), which checks
-    A_n = P_n/Q_n and Q_n = t_0 ... t_n at once; the first difference
-    raises EngineMismatch. The recurrence runs first at each n, so its
-    errors come before anything from the determinant side. With ``exact``
-    the pairs are compared exactly, otherwise mod CHECK_PRIME (see above).
-    An abortive error is raised after the last record that both routes
-    formed. A negative ``n_max`` or a method outside METHODS raises
-    ValueError at the first ``next()``.
+    The recurrence produces every record, and at each n its (A_n N_n, N_n)
+    must equal the determinants' (P_n, Q_n), which checks A_n = P_n/Q_n and
+    Q_n = t_0 ... t_n at once; the first difference raises EngineMismatch.
+    The recurrence runs first at each n, so its errors come before anything
+    from the determinant side. With ``exact`` the pairs are compared
+    exactly, otherwise mod CHECK_PRIME (see above). An abortive error is
+    raised after the last record that both routes formed. A negative
+    ``n_max`` raises ValueError at the first ``next()``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method: {method!r}")
     ref_value = seq.reference.as_fraction() if seq.reference else None
-    if method == "both":
-        rows = zip(ortho_sweep(seq, n_max), _determinant_checks(seq, n_max, exact))
-    else:
-        rows = ((pair, None) for pair in hankel_sweep(seq, n_max))
-
-    for n, (pair, check) in enumerate(rows):
-        if check is not None:
-            modulus, expected = check
-            seen = pair if modulus is None else tuple(residue(x, modulus) for x in pair)
-            if seen != expected:
-                raise EngineMismatch(n, expected, seen, modulus)
+    rows = zip(ortho_sweep(seq, n_max), _determinant_checks(seq, n_max, exact))
+    for n, (pair, (modulus, expected)) in enumerate(rows):
+        seen = pair if modulus is None else tuple(residue(x, modulus) for x in pair)
+        if seen != expected:
+            raise EngineMismatch(n, expected, seen, modulus)
         P, Q = pair
         value = P / Q
         gap = ref_value - value if ref_value is not None else None

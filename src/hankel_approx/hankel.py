@@ -37,50 +37,71 @@ identity), so the exact route runs on ints and ``//`` there, and on
 Fractions and ``/`` otherwise.
 
 ``hankel_residues`` runs the same two algorithms on the moments reduced
-mod a prime p, dividing by modular inverses: its entries stay below p
-however large the exact determinants grow. A moment whose denominator p
-divides, or a pivot that p divides, ends it early; the caller decides what
-replaces the rest.
+mod a prime p, multiplying by modular inverses: its entries stay below p
+however large the exact determinants grow. The table takes one ``pow``
+per anti-diagonal, for the inverses of all its divisors at once; the
+elimination, which runs only past a zero divisor, one per division. A
+moment whose denominator p divides, or a pivot that p divides, ends it
+early; the caller decides what replaces the rest.
 """
 
 import operator
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import NonPositiveQ
 from .moments import MomentSequence
 
 
-def _condense(a: list, divide) -> Iterator[tuple]:
+def _condense(a: list, divide, p: int | None = None) -> Iterator[tuple]:
     """Yield (-H^(0)_{n+2}, H^(2)_{n+1}) for n = 0, 1, ... as far as the list goes.
 
     ``a`` is the list a_0 = 0, a_1 .. a_L, which finishes the rows n < L/2,
     and ``divide`` the quotient of two entries, in whichever arithmetic the
-    caller works. At a zero divisor the rest, from the row the table cannot
-    finish, come from ``_eliminate`` on the same list.
+    caller works. Each anti-diagonal divides by entries of the one two
+    before it. With a prime ``p`` the entries are residues mod p, and the
+    table multiplies by those divisors' inverses, found for the whole
+    anti-diagonal at once (``_inverses``). At a zero divisor the rest, from
+    the row the table cannot finish, come from ``_eliminate`` on the same
+    list, which divides with ``divide``.
     """
-    older, old = None, [1, 0]  # anti-diagonals j - 2 and j - 1; a_0 = 0
+    scale = divide if p is None else (lambda x, inverse: x * inverse % p)
+    older, old = [], [1, 0]  # anti-diagonals j - 2 and j - 1; a_0 = 0
     for n in range((len(a) - 1) // 2):
         for j in (2 * n + 1, 2 * n + 2):
+            divisors = older[:j // 2]  # diagonal[m + 1] divides by divisors[m]
+            if 0 in divisors:
+                yield from islice(_eliminate(a, divide), n, None)
+                return
             diagonal = [1, a[j]]  # diagonal[m] = H^(j-2m+2)_m
-            for m in range(1, j // 2 + 1):
-                if older[m - 1] == 0:
-                    yield from islice(_eliminate(a, divide), n, None)
-                    return
-                diagonal.append(divide(older[m] * diagonal[m] - old[m] ** 2, older[m - 1]))
+            for m, d in enumerate(divisors if p is None else _inverses(divisors, p), 1):
+                diagonal.append(scale(older[m] * diagonal[m] - old[m] ** 2, d))
             older, old = old, diagonal
         yield -old[n + 2], old[n + 1]
+
+
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """The inverses mod the prime p of the nonzero residues ``xs``, from one
+    ``pow``: Montgomery's simultaneous inversion (Montgomery 1987, "Speeding
+    the Pollard and elliptic curve methods of factorization", 10.3.1)."""
+    prefix = list(accumulate(xs, lambda u, v: u * v % p, initial=1))
+    inverse = pow(prefix.pop(), -1, p)  # of the product of all of xs
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = prefix[i] * inverse % p
+        inverse = inverse * xs[i] % p
+    return out
 
 
 def _eliminate(a: list, divide) -> Iterator[tuple]:
     """Yield (-det M_n, Q_n) for n = 0, 1, ... as far as the list goes.
 
-    Takes ``_condense``'s arguments. Step n takes a_{2n+1} and a_{2n+2}
-    and reduces H_n's new row and its border entry B_n by the n finished
-    rows, whose frozen entries are, by symmetry, the column it needs. The
-    corner steps as c <- (Q_n c - B_n^2) / Q_{n-1} to det M_n. It stops
-    early after yielding a pivot that is 0.
+    Takes ``_condense``'s ``a`` and ``divide``. Step n takes a_{2n+1} and
+    a_{2n+2} and reduces H_n's new row and its border entry B_n by the n
+    finished rows, whose frozen entries are, by symmetry, the column it
+    needs. The corner steps as c <- (Q_n c - B_n^2) / Q_{n-1} to det M_n.
+    It stops early after yielding a pivot that is 0.
     """
     rows, border = [], []  # rows[k][j]: row k of H after k steps, at column j
     corner = 0
@@ -170,7 +191,7 @@ def hankel_residues(seq: MomentSequence, n_max: int, p: int) -> Iterator[tuple[i
         del reduced[reduced.index(None):]
         short = None
     divide, rows = (lambda x, d: x * pow(d, -1, p) % p), 0
-    for rows, (P, Q) in enumerate(_condense(reduced, divide), 1):
+    for rows, (P, Q) in enumerate(_condense(reduced, divide, p), 1):
         yield P % p, Q
     if short is not None and rows == len(a) // 2:
         raise short

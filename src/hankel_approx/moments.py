@@ -100,7 +100,10 @@ class MomentSequence:
 
     def prefix(self, count: int) -> tuple[list[Fraction], IndexOutOfRange | None]:
         """a_1 .. a_count as far as the sequence goes, and the IndexOutOfRange
-        of the first moment missing (None when none is)."""
+        of the first moment missing (None when none is). A negative count
+        raises ValueError."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         known = self._known
         known.extend(islice(self._values, max(count - len(known), 0)))
         if len(known) < count:

@@ -158,6 +158,14 @@ def ortho_records(seq, n_max: int):
         yield ApproximantRecord(n, P, Q, P / Q, None)
 
 
+def det_records(seq, n_max: int):
+    """Yield the records for n = 0 .. n_max from ``hankel_sweep`` read
+    directly: the exact determinants alone, with no recurrence and no gap.
+    A stop, NonPositiveQ included, comes after the records before it."""
+    for n, (P, Q) in enumerate(hankel.hankel_sweep(seq, n_max)):
+        yield ApproximantRecord(n, P, Q, P / Q, None)
+
+
 def collect(rows, into: list) -> None:
     """Append the records that the iteration ``rows`` yields to ``into``
     one by one: a stop raised part way leaves the rows before it there."""

@@ -358,6 +358,21 @@ def test_approx_prints_the_same_output_whatever_the_method(write_moments_file, f
         assert run_cli([*args, "--method", "det"]) == run_cli(args), source
 
 
+def test_approx_method_det_runs_no_exact_determinant(monkeypatch):
+    # --method det is accepted and ignored: the recurrence prints every row,
+    # checked against the determinants mod the prime, and the exact table
+    # never runs.
+    sweeps, sweep = [], driver.hankel_sweep
+    monkeypatch.setattr(driver, "hankel_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    exact = record_eliminations(monkeypatch)
+    args = ["approx", "--family", "factorial", "--n-max", "35", "--format", "csv"]
+    res = run_cli([*args, "--method", "det"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert len(res.stdout.splitlines()) == 37
+    assert (sweeps, exact) == ([], [])
+    assert run_cli(args) == res
+
+
 def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
         write_moments_file):
     # A weight of 1/CHECK_PRIME puts the prime in every moment's denominator,
@@ -379,10 +394,10 @@ def test_approx_both_falls_back_to_exact_when_the_prime_divides_a_moment(
 
 def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
     # A symmetric measure has a_3 = 0, a divisor of the condensation table
-    # from n = 2 on, so both determinant sweeps continue by elimination:
-    # the residues through n = 8, where Q_8 = 0 ends them, and the exact
-    # sweep in det. Its eight nodes make the form definite through degree 7
-    # only. The recurrence, read directly, must give the same rows.
+    # from n = 2 on, so the residues continue by elimination through n = 8,
+    # where Q_8 = 0 ends them. Its eight nodes make the form definite
+    # through degree 7 only. The recurrence, read directly, must give the
+    # same rows, and --method det changes nothing.
     nodes, weights = (Fraction(1, 2), 1, Fraction(3, 2), 2), (1, 2, Fraction(1, 3), Fraction(1, 5))
     a = [sum(w * (x**j + (-x) ** j) for w, x in zip(weights, nodes)) for j in range(1, 19)]
     path = write_moments_file("symmetric", [str(v) for v in a])
@@ -403,9 +418,9 @@ def test_zero_divisors_through_the_cli(write_moments_file, monkeypatch):
     assert runs["det"].stdout == runs["both"].stdout == runs[None].stdout == ortho
     assert [line.split(",")[0] for line in runs["det"].stdout.splitlines()[1:]] == [
         str(n) for n in range(8)]
-    # True marks an exact elimination, False one mod the check prime; the
-    # default makes the one mod the prime and no exact one.
-    assert eliminations == {"det": [True], "both": [False], None: [False]}
+    # True marks an exact elimination, False one mod the check prime: every
+    # run makes the one mod the prime and no exact one.
+    assert eliminations == {"det": [False], "both": [False], None: [False]}
 
     args = ["validate", "--family", "custom", "--moments-file", str(path), "--n-max"]
     res = run_cli(args + ["7"])

@@ -33,7 +33,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
-from .conftest import collect, ortho_records
+from .conftest import collect, det_records, ortho_records
 from .golden_values import GOMPERTZ_ROWS
 from .oracles import records_from_json
 
@@ -45,8 +45,8 @@ def test_runs_reject_bad_input():
     for run in (lambda *args: list(walk(*args)), cross_validate):
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             run(gamma_sequence(), -1)
-    with pytest.raises(ValueError, match="unknown method: 'magic'"):
-        list(walk(gompertz_sequence(), 3, "magic"))
+    with pytest.raises(TypeError):  # one route: a route name is no longer an argument
+        walk(gompertz_sequence(), 3, "det")
 
 
 def test_walk_routes_yield_the_same_records(write_moments_file):
@@ -54,7 +54,7 @@ def test_walk_routes_yield_the_same_records(write_moments_file):
     for seq, n_max in ((gompertz_sequence, 2), (lambda: load_moments(path), 1)):
         both = list(walk(seq(), n_max))
         assert len(both) == n_max + 1
-        assert list(walk(seq(), n_max, "det")) == both
+        assert list(det_records(seq(), n_max)) == [r._replace(gap=None) for r in both]
 
 
 def test_walk_matches_known_rows():
@@ -75,7 +75,7 @@ def test_walk_gaps_shrink():
 
 
 def test_walk_methods_agree():
-    det = list(walk(zeta_sequence(3), 5, "det"))
+    det = list(det_records(zeta_sequence(3), 5))
     ortho = list(ortho_records(zeta_sequence(3), 5))
     assert [r.value for r in det] == [r.value for r in ortho]
     assert [(r.P, r.Q) for r in det] == [(r.P, r.Q) for r in ortho]
@@ -99,22 +99,22 @@ def test_walk_nonpositive_Q_carries_records(write_moments_file):
     path = write_moments_file("flat", ["1"] * 6)
     partial = []
     with pytest.raises(NonPositiveQ) as excinfo:
-        collect(walk(load_moments(path), 3, "det"), partial)
+        collect(det_records(load_moments(path), 3), partial)
     assert (excinfo.value.index, excinfo.value.value) == (1, 0)
     assert str(excinfo.value) == "positive definiteness fails at degree 1: squared norm 0 <= 0"
     assert [r.n for r in partial] == [0]
 
 
+# The driver's walk, and each route read directly, which must stop the same way.
+ROUTES = {"ortho": ortho_records, "det": det_records, "both": walk}
+
+
 @pytest.mark.parametrize("method", ["ortho", "det", "both"])
 def test_walk_short_file_carries_records(write_moments_file, method):
-    # "ortho" reads the recurrence directly, which must stop the same way.
     path = write_moments_file("short", ["1", "2", "5", "16"])
     partial = []
     with pytest.raises(IndexOutOfRange) as excinfo:
-        if method == "ortho":
-            collect(ortho_records(load_moments(path), 3), partial)
-        else:
-            collect(walk(load_moments(path), 3, method), partial)
+        collect(ROUTES[method](load_moments(path), 3), partial)
     assert (excinfo.value.requested, excinfo.value.available) == (5, 4)
     assert [r.value for r in partial] == [Fraction(1, 2), Fraction(4, 7)]
 
@@ -126,10 +126,7 @@ def test_walk_short_file_of_odd_length_carries_records(write_moments_file, metho
     path = write_moments_file("short", ["1", "2", "5", "16", "65"])
     partial = []
     with pytest.raises(IndexOutOfRange) as excinfo:
-        if method == "ortho":
-            collect(ortho_records(load_moments(path), 3), partial)
-        else:
-            collect(walk(load_moments(path), 3, method), partial)
+        collect(ROUTES[method](load_moments(path), 3), partial)
     assert (excinfo.value.requested, excinfo.value.available) == (6, 5)
     assert [r.value for r in partial] == [Fraction(1, 2), Fraction(4, 7)]
 
@@ -140,10 +137,7 @@ def test_short_flat_file_stops_at_positivity_first(write_moments_file, method):
     path = write_moments_file("flat", ["1"] * 5)
     partial = []
     with pytest.raises(PositivityViolation) as excinfo:
-        if method == "ortho":
-            collect(ortho_records(load_moments(path), 3), partial)
-        else:
-            collect(walk(load_moments(path), 3, method), partial)
+        collect(ROUTES[method](load_moments(path), 3), partial)
     assert (excinfo.value.index, excinfo.value.value) == (1, 0)
     assert [r.value for r in partial] == [1]
 

@@ -18,7 +18,7 @@ from hankel_approx.moments import (
     zeta_sequence,
 )
 
-from .conftest import moment, moment_list, ortho_records, record_eliminations, run_cli
+from .conftest import det_records, moment, moment_list, ortho_records, record_eliminations, run_cli
 from .oracles import cofactor_det, hankel_matrix
 
 
@@ -112,15 +112,35 @@ def test_sweep_falls_back_to_elimination_at_zero_divisor(monkeypatch):
 
 
 def test_zero_divisor_file_gives_the_same_values_on_both_routes(write_moments_file):
-    # The determinant route through the CLI, the recurrence read directly.
+    # The CLI, which --method det leaves unchanged, and each route read directly.
     path = write_moments_file("symmetric", [str(a) for a in SYMMETRIC])
     res = run_cli([
         "approx", "--family", "custom", "--moments-file", str(path),
         "--n-max", "5", "--method", "det", "--format", "csv"])
     assert res.exit_code == 0
-    outputs = [res.stdout, "".join(render(ortho_records(load_moments(path), 5), "csv"))]
-    assert outputs[0] == outputs[1]
+    outputs = [res.stdout, *("".join(render(route(load_moments(path), 5), "csv"))
+                             for route in (det_records, ortho_records))]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0].splitlines()) == 7
+
+
+def test_residues_invert_once_per_anti_diagonal(monkeypatch):
+    # Each anti-diagonal's divisors are inverted together (Montgomery's
+    # simultaneous inversion): rows 1 .. 35 of factorial take at most the 70
+    # inverses of anti-diagonals 3 .. 72, where one per entry would be 1,295.
+    p = 2**61 - 1
+    rows = hankel.hankel_residues(factorial_sequence(), 35, p)
+    assert next(rows) == (1, 1)  # row 0 reduces the moments first
+    inverses = []
+
+    def counted(*args):
+        if args[1:] == (-1, p):
+            inverses.append(args[0])
+        return pow(*args)
+
+    monkeypatch.setattr(hankel, "pow", counted, raising=False)
+    assert len(list(rows)) == 35
+    assert 0 < len(inverses) <= 70
 
 
 def test_residues_stop_at_a_moment_the_prime_cannot_reduce(monkeypatch):
@@ -156,7 +176,7 @@ def test_elimination_stops_at_a_moment_the_prime_cannot_reduce(monkeypatch):
     assert len(list(hankel.hankel_residues(seq, 5, p))) == 3
     assert calls == [False]
     rows = [r[:4] for r in walk(seq, 5)]
-    assert rows == [r[:4] for r in walk(seq, 5, "det")]
+    assert rows == [r[:4] for r in det_records(seq, 5)]
     assert len(rows) == 6
 
 
@@ -171,7 +191,7 @@ def test_exact_route_returns_fractions_on_integer_moments(build, write_moments_f
         seq = build()
     values = [x for pair in hankel_sweep(seq, 5) for x in pair]
     values += [hankel_P(seq, 5), hankel_Q(seq, 5)]
-    values += [x for r in walk(seq, 5, "det") for x in (r.P, r.Q, r.value)]
+    values += [x for r in det_records(seq, 5) for x in (r.P, r.Q, r.value)]
     assert len(values) == 12 + 2 + 18
     assert {type(x) for x in values} == {Fraction}
 

@@ -112,6 +112,16 @@ def test_sequence_caching_is_stable():
     assert len(seq.prefix(3)[0]) == 3
 
 
+def test_prefix_rejects_a_negative_count():
+    # Slicing would read -1 as "all known moments but the last", with no error.
+    seq = gompertz_sequence()
+    assert seq.prefix(4) == ([1, 2, 5, 16], None)
+    for count in (-1, -5):
+        with pytest.raises(ValueError, match=f"count must be >= 0, got {count}"):
+            seq.prefix(count)
+    assert seq.prefix(0) == ([], None)
+
+
 def test_fixed_sequence_bounds():
     seq = MomentSequence("mine", values=[Fraction(1), Fraction(2), Fraction(5)])
     assert seq.moment(3) == 5

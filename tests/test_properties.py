@@ -1,7 +1,7 @@
 """Property tests: the recurrence against the determinant sweep's pairs,
 the determinant sweep against one bordered elimination, the elimination
-against cofactor expansion, and the driver's walk on each method against
-the recurrence read directly.
+against cofactor expansion, and the driver's walk and the determinant
+sweep against the recurrence read directly.
 
 Inputs are short random rational sequences, which are mostly not positive
 definite, and the moments a_j = sum_i w_i x_i^j of random discrete
@@ -27,11 +27,11 @@ from hypothesis import strategies as st
 from hankel_approx import driver, hankel
 from hankel_approx.driver import CHECK_PRIME, walk
 from hankel_approx.errors import EngineMismatch, NonPositiveQ, PositivityViolation
-from hankel_approx.hankel import hankel_residues, hankel_sweep
+from hankel_approx.hankel import hankel_residues, hankel_sweep, residue
 from hankel_approx.moments import MomentSequence
 from hankel_approx.orthopoly import ortho_sweep
 
-from .conftest import collect, exact_table, moment_list, ortho_records, skew_rows
+from .conftest import collect, det_records, exact_table, moment_list, ortho_records, skew_rows
 from .oracles import cofactor_det, hankel_matrix
 
 small_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=5)
@@ -185,6 +185,26 @@ def test_elimination_matches_cofactor_expansion(case):
     assert pairs == expected[:stop]
 
 
+@small_and_fast
+@given(st.one_of(random_sequences(), measure_moments(), symmetric_measures()),
+       st.sampled_from((5, 7, 11, CHECK_PRIME)))
+def test_residues_are_the_exact_pairs_reduced(case, p):
+    # Mod 5, 7 or 11 a divisor often vanishes, also in the middle of an
+    # anti-diagonal, which is inverted as a whole; the residues go on by
+    # elimination, and stop only before a moment that p cannot reduce or
+    # after a pivot Q_n that p divides.
+    seq, n_max = case
+    residues = list(hankel_residues(seq, n_max, p))
+    swept = determinant_run(hankel_sweep(seq, n_max))[0]
+    both = min(len(residues), len(swept))
+    assert residues[:both] == [tuple(residue(x, p) for x in pair) for pair in swept[:both]]
+    a = moment_list(seq, n_max)
+    unreduced = next((j for j, x in enumerate(a) if residue(x, p) is None), len(a))
+    exact = list(hankel._eliminate(a, truediv))[:(unreduced - 1) // 2]  # row n needs a_{2n+2}
+    stop = next((n + 1 for n, (_, Q) in enumerate(exact) if residue(Q, p) == 0), len(exact))
+    assert len(residues) == stop
+
+
 def cofactor_pairs(seq, n_max):
     """(P_n, Q_n) for n = 0 .. n_max by cofactor expansion."""
     return [(-cofactor_det(hankel_matrix(seq, 0, n + 2)),
@@ -218,12 +238,12 @@ def test_integer_elimination_matches_cofactor_expansion(case):
 
 
 def walk_run(seq, n_max, route):
-    """The (n, P, Q, value) rows of the driver walk by ``route`` ("det" or
-    "both"), or of ``ortho_sweep`` read directly ("ortho"), and the
-    positivity stop as (degree, squared norm, message) or None."""
+    """The (n, P, Q, value) rows of the driver walk ("both"), or of
+    ``hankel_sweep`` ("det") or ``ortho_sweep`` ("ortho") read directly, and
+    the positivity stop as (degree, squared norm, message) or None."""
     records = []
     try:
-        collect(ortho_records(seq, n_max) if route == "ortho" else walk(seq, n_max, route),
+        collect({"det": det_records, "ortho": ortho_records, "both": walk}[route](seq, n_max),
                 records)
         stop = None
     except PositivityViolation as exc:
